@@ -8,19 +8,10 @@ comparison.
 
 __version__ = "0.1.0"
 
-from .records import WorkerRecord, ExclusionLog, load_csv, write_csv
+from .records import Workforce, ExclusionLog, load_csv, write_csv
 from .factors import FactorIndex, ImbalanceSummary, build_factor_index, summarize_imbalance
 from .synthetic import SynthConfig, GroundTruth, GroupSizeLaw, PopulationTruth, generate_synthetic
-from .model import (
-    HierarchicalModel,
-    ModelSpec,
-    NaturalParams,
-    ParamLayout,
-    build_layout,
-    natural_param_names,
-    predict_log_salary,
-    to_natural,
-)
+from .model import HierarchicalModel, ModelSpec, ParamLayout, build_layout, natural_param_names
 from .hmc import PosteriorDraws, SamplerConfig, run_chains
 from .diagnostics import (
     DiagnosticSummary,
@@ -31,7 +22,7 @@ from .diagnostics import (
 from .report import (
     GapReport,
     GroupGapSummary,
-    PredictionPair,
+    Predictions,
     adjusted_cents_to_dollar,
     build_gap_report,
     counterfactual_predictions,
@@ -50,14 +41,13 @@ from .baseline import (
 
 __all__ = [
     "__version__",
-    "WorkerRecord", "ExclusionLog", "load_csv", "write_csv",
+    "Workforce", "ExclusionLog", "load_csv", "write_csv",
     "FactorIndex", "ImbalanceSummary", "build_factor_index", "summarize_imbalance",
     "SynthConfig", "GroundTruth", "GroupSizeLaw", "PopulationTruth", "generate_synthetic",
-    "HierarchicalModel", "ModelSpec", "NaturalParams", "ParamLayout",
-    "build_layout", "natural_param_names", "predict_log_salary", "to_natural",
+    "HierarchicalModel", "ModelSpec", "ParamLayout", "build_layout", "natural_param_names",
     "PosteriorDraws", "SamplerConfig", "run_chains",
     "DiagnosticSummary", "convergence_report", "effective_sample_size", "split_rhat",
-    "GapReport", "GroupGapSummary", "PredictionPair",
+    "GapReport", "GroupGapSummary", "Predictions",
     "adjusted_cents_to_dollar", "build_gap_report", "counterfactual_predictions",
     "fit_metrics", "group_gap_summaries", "raise_recommendations",
     "ComparisonTable", "DesignMatrix", "LmFit",

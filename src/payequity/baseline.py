@@ -57,13 +57,10 @@ class LmFit:
     fitted: np.ndarray = None
 
 
-def build_design_matrix(data, index):
+def build_design_matrix(wf):
     """Assemble the dummy design described in the module docstring."""
-    if not data:
-        raise ContractViolation("design matrix needs at least one worker")
-    if len(data) != index.n_workers:
-        raise ContractViolation("index and data disagree on worker count")
-    n = len(data)
+    index = wf.index
+    n = wf.n
     J = index.n_job_geo
     variant = index.gender_variant()
     variant_groups = [j for j in range(J) if variant[j]]
@@ -80,14 +77,14 @@ def build_design_matrix(data, index):
     labels.extend(COVARIATE_LABELS)
 
     X = np.zeros((n, len(labels)))
-    female = np.array([1.0 if r.female else 0.0 for r in data])
+    female = wf.female.astype(float)
     X[np.arange(n), index.j_of] = 1.0
     for j, col in female_col.items():
         rows = index.j_of == j
         X[rows, col] = female[rows]
-    X[:, cov_base] = [r.recent_perf for r in data]
-    X[:, cov_base + 1] = [r.past_perf for r in data]
-    X[:, cov_base + 2] = [r.time_in_job for r in data]
+    X[:, cov_base] = wf.recent
+    X[:, cov_base + 1] = wf.past
+    X[:, cov_base + 2] = wf.tenure
 
     return DesignMatrix(X=X, labels=labels, group_col=group_col,
                         female_col=female_col, n_job_geo=J)

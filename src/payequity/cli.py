@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 runtime failure (I/O, integrity, sampler),
 """
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -26,41 +25,33 @@ from .diagnostics import (convergence_report, export_traces,
 from .errors import (ConfigError, ContractViolation, EmptyDatasetError,
                      IntegrityError, PayEquityError, SamplerRunError,
                      SchemaError)
-from .factors import build_factor_index, summarize_imbalance
-from .hmc import PosteriorDraws, SamplerConfig, run_chains
+from . import __version__
+from .factors import summarize_imbalance
+from .hmc import PosteriorDraws, SamplerConfig, _sha256_file, run_chains
 from .kvconfig import parse_float, parse_int, read_kv
 from .model import ModelSpec
 from .records import load_csv, write_csv
-from .report import (build_gap_report, format_report_text, write_group_csv,
+from .report import (build_gap_report, counterfactual_predictions,
+                     format_report_text, group_gap_summaries, write_group_csv,
                      write_report_json)
 from .synthetic import (REFERENCE_IMBALANCE, GroupSizeLaw, SynthConfig,
                         config_summary, generate_synthetic)
-
-ENGINE_VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _write_manifest(out_dir, command, config, seeds, inputs, outputs):
     """One manifest per output directory; outputs keyed by digest."""
     manifest = {
         "command": command,
-        "engine_version": ENGINE_VERSION,
+        "engine_version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": config,
         "seeds": seeds,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(Path(p).name): _sha256(p) for p in outputs},
+        "inputs": {str(p): _sha256_file(p) for p in inputs},
+        "outputs": {str(Path(p).name): _sha256_file(p) for p in outputs},
     }
     path = Path(out_dir) / "manifest.json"
     with open(path, "w") as fh:
@@ -129,16 +120,15 @@ def _synth_config_from_args(args):
 def cmd_simulate(args):
     cfg = _synth_config_from_args(args)
     out = _prepare_out_dir(args.out)
-    records, truth = generate_synthetic(cfg)
+    wf, truth = generate_synthetic(cfg)
     data_path = out / "data.csv"
     truth_path = out / "truth.txt"
-    write_csv(records, data_path)
+    write_csv(wf, data_path)
     truth.write(truth_path)
-    index = build_factor_index(records)
     print("simulated %d workers: %d GJS-geo groups, %d job-geo groups"
-          % (len(records), index.n_gjs_geo, index.n_job_geo))
+          % (wf.n, wf.index.n_gjs_geo, wf.index.n_job_geo))
     if args.reference_imbalance:
-        print(summarize_imbalance(index, records).format_table())
+        print(summarize_imbalance(wf).format_table())
     _write_manifest(out, "simulate", config_summary(cfg), [cfg.seed],
                     [args.config] if args.config else [],
                     [data_path, truth_path])
@@ -171,13 +161,12 @@ def cmd_fit(args):
     if sampler_cfg.n_chains < 2:
         raise ContractViolation("need at least 2 chains for convergence diagnostics")
     spec = ModelSpec.from_file(args.model_config) if args.model_config else ModelSpec()
-    records, excluded = load_csv(args.data)
-    index = build_factor_index(records)
+    wf, excluded = load_csv(args.data)
     out = _prepare_out_dir(args.out)
-    digest = _sha256(args.data)
+    digest = _sha256_file(args.data)
 
     t0 = time.time()
-    draws = run_chains(records, index, spec, sampler_cfg,
+    draws = run_chains(wf, spec, sampler_cfg,
                        data_digest=digest, progress=args.progress)
     draws.save(out)
 
@@ -246,21 +235,19 @@ def cmd_diagnose(args):
 def _load_draws_and_data(draws_dir, data_path):
     """Shared loader with the digest cross-check used by report/compare."""
     draws = PosteriorDraws.load(draws_dir)
-    records, _ = load_csv(data_path)
-    index = build_factor_index(records)
-    digest = _sha256(data_path)
+    wf, _ = load_csv(data_path)
+    digest = _sha256_file(data_path)
     if draws.data_digest is not None and draws.data_digest != digest:
         raise ContractViolation(
             "data file digest %s does not match the digest recorded with "
             "the draws (%s); refusing to mix runs" % (digest[:12], draws.data_digest[:12]))
-    return draws, records, index, digest
+    return draws, wf
 
 
 def cmd_report(args):
-    draws, records, index, digest = _load_draws_and_data(args.draws, args.data)
+    draws, wf = _load_draws_and_data(args.draws, args.data)
     out = _prepare_out_dir(args.out)
-    report = build_gap_report(draws, records, index,
-                              interval_mass=args.interval_mass)
+    report = build_gap_report(draws, wf, interval_mass=args.interval_mass)
     write_report_json(report, out / "report.json")
     text = format_report_text(report)
     with open(out / "report.txt", "w") as fh:
@@ -276,15 +263,12 @@ def cmd_report(args):
 # ----------------------------------------------------------------- compare
 
 def cmd_compare(args):
-    draws, records, index, digest = _load_draws_and_data(args.draws, args.data)
+    draws, wf = _load_draws_and_data(args.draws, args.data)
     out = _prepare_out_dir(args.out)
-    from .report import counterfactual_predictions, group_gap_summaries
-    pairs = counterfactual_predictions(draws, records, index)
-    summaries = group_gap_summaries(draws, index, pairs=pairs, data=records)
-    design = build_design_matrix(records, index)
-    y = [r.log_salary for r in records]
-    lm = fit_ols(design, y)
-    table = compare_estimates(summaries, lm, index,
+    pred = counterfactual_predictions(draws, wf)
+    summaries = group_gap_summaries(draws, wf, predictions=pred)
+    lm = fit_ols(build_design_matrix(wf), wf.log_salary)
+    table = compare_estimates(summaries, lm, wf.index,
                               small_group_k=args.small_group_k)
     write_comparison_csv(table, out / "comparison.csv")
     text = format_comparison_text(table)

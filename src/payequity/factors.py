@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import WorkerRecord
-
 
 @dataclass
 class FactorIndex:
     """Dense indexing of the crossed factor levels.
 
-    g_of / j_of align with the record list the index was built from:
+    g_of / j_of align with the workers the index was built from:
     g_of[i] is worker i's GJS-geo index, j_of[i] its job-geo index.
     """
 
@@ -67,26 +65,29 @@ class FactorIndex:
         return counts.argmax(axis=1)
 
 
-def build_factor_index(records: list[WorkerRecord]) -> FactorIndex:
+def _first_appearance_codes(keys, n: int) -> tuple[list, np.ndarray]:
+    """Dense codes for n keys, numbered in order of first appearance."""
+    levels: dict = {}
+    codes = np.fromiter((levels.setdefault(k, len(levels)) for k in keys),
+                        dtype=np.int64, count=n)
+    return list(levels), codes
+
+
+def build_factor_index(geo, gjs, job, female) -> FactorIndex:
     """Assign dense indices to GJS-geo and job-geo levels.
 
-    Indices follow first appearance in the record list, so the result
-    is deterministic without assuming any ordering on labels.
+    Takes a workforce's label columns and its boolean female column.
+    Indices follow first appearance, so the result is deterministic
+    without assuming any ordering on labels.
     """
-    if not records:
-        raise ValueError("build_factor_index requires at least one record")
-    gjs_geo: dict[tuple[str, str], int] = {}
-    job_geo: dict[tuple[str, str], int] = {}
-    g_of = np.empty(len(records), dtype=np.int64)
-    j_of = np.empty(len(records), dtype=np.int64)
-    for i, r in enumerate(records):
-        g_key = (r.gjs, r.geo)
-        j_key = (r.job, r.geo)
-        g_of[i] = gjs_geo.setdefault(g_key, len(gjs_geo))
-        j_of[i] = job_geo.setdefault(j_key, len(job_geo))
-    J = len(job_geo)
+    n = len(geo)
+    if n == 0:
+        raise ValueError("build_factor_index requires at least one worker")
+    gjs_geo_levels, g_of = _first_appearance_codes(zip(gjs, geo), n)
+    job_geo_levels, j_of = _first_appearance_codes(zip(job, geo), n)
+    J = len(job_geo_levels)
     group_sizes = np.bincount(j_of, minlength=J)
-    female = np.array([r.female for r in records], dtype=np.int64)
+    female = np.asarray(female, dtype=np.int64)
     gender_counts = np.column_stack(
         [
             np.bincount(j_of, weights=female, minlength=J).astype(np.int64),
@@ -94,8 +95,8 @@ def build_factor_index(records: list[WorkerRecord]) -> FactorIndex:
         ]
     )
     return FactorIndex(
-        gjs_geo_levels=list(gjs_geo),
-        job_geo_levels=list(job_geo),
+        gjs_geo_levels=gjs_geo_levels,
+        job_geo_levels=job_geo_levels,
         g_of=g_of,
         j_of=j_of,
         group_sizes=group_sizes,
@@ -131,30 +132,27 @@ class ImbalanceSummary:
         return "\n".join(lines)
 
 
-def _level_stats(keys: list, genders: list[bool]) -> FactorImbalance:
-    sizes: dict = {}
-    gender_sets: dict = {}
-    for key, female in zip(keys, genders):
-        sizes[key] = sizes.get(key, 0) + 1
-        gender_sets.setdefault(key, set()).add(female)
+def _level_stats(codes: np.ndarray, female: np.ndarray) -> FactorImbalance:
+    sizes = np.bincount(codes)
+    n_female = np.bincount(codes, weights=female)
     n = len(sizes)
-    single_gender = sum(1 for k in sizes if len(gender_sets[k]) == 1)
-    single_worker = sum(1 for k in sizes if sizes[k] == 1)
+    single_gender = int(np.sum((n_female == 0) | (n_female == sizes)))
+    single_worker = int(np.sum(sizes == 1))
     return FactorImbalance(n, 100.0 * single_gender / n, 100.0 * single_worker / n)
 
 
-def summarize_imbalance(index: FactorIndex, records: list[WorkerRecord]) -> ImbalanceSummary:
-    """Exact per-factor imbalance statistics (no sampling).
+def summarize_imbalance(wf) -> ImbalanceSummary:
+    """Exact per-factor imbalance statistics of a Workforce (no sampling).
 
     Geo, GJS, and job are summarized from the raw labels; the crossed
     factors use the dense indices so the summary and the model agree on
     level identity.
     """
-    genders = [r.female for r in records]
+    n = wf.n
     summary = ImbalanceSummary()
-    summary.factors["geo"] = _level_stats([r.geo for r in records], genders)
-    summary.factors["gjs"] = _level_stats([r.gjs for r in records], genders)
-    summary.factors["job"] = _level_stats([r.job for r in records], genders)
-    summary.factors["gjs_geo"] = _level_stats(list(index.g_of), genders)
-    summary.factors["job_geo"] = _level_stats(list(index.j_of), genders)
+    for name in ("geo", "gjs", "job"):
+        summary.factors[name] = _level_stats(
+            _first_appearance_codes(getattr(wf, name), n)[1], wf.female)
+    summary.factors["gjs_geo"] = _level_stats(wf.index.g_of, wf.female)
+    summary.factors["job_geo"] = _level_stats(wf.index.j_of, wf.female)
     return summary

@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +29,6 @@ from .errors import AdaptationError, ConfigError, ContractViolation, IntegrityEr
 from .kvconfig import parse_float, parse_int, read_kv
 
 DIVERGENCE_ENERGY = 1000.0
-
-_DEFAULTS = {
-    "n_chains": 2,
-    "n_warmup": 1000,
-    "n_samples": 3000,
-    "leapfrog_steps": 32,
-    "target_accept": 0.8,
-    "base_seed": 0,
-}
 
 
 @dataclass(frozen=True)
@@ -67,11 +58,12 @@ class SamplerConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "SamplerConfig":
         raw = read_kv(path)
-        unknown = sorted(set(raw) - set(_DEFAULTS))
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = sorted(set(raw) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown sampler config keys: {', '.join(unknown)}")
         kwargs = {}
-        for key, default in _DEFAULTS.items():
+        for key, default in defaults.items():
             if key not in raw:
                 continue
             if isinstance(default, int):
@@ -427,46 +419,55 @@ class PosteriorDraws:
 
     @classmethod
     def load(cls, in_dir: str | Path) -> "PosteriorDraws":
+        """Read a draw directory, checking every file against its digest.
+
+        A missing, unreadable or malformed metadata.json, or a draw file
+        that does not match its recorded digest, raises IntegrityError.
+        """
         src = Path(in_dir)
         meta_path = src / "metadata.json"
         if not meta_path.exists():
             raise IntegrityError(f"no metadata.json under {src}")
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        config = SamplerConfig(**meta["config"])
-        chains, logps = [], []
-        for c in range(config.n_chains):
-            for kind, bucket in (("draws", chains), ("logp", logps)):
-                name = f"{kind}_chain{c:02d}.npy"
-                path = src / name
-                if not path.exists():
-                    raise IntegrityError(f"missing draw file {name}")
-                digest = _sha256_file(path)
-                expected = meta["file_digests"].get(name)
-                if digest != expected:
-                    raise IntegrityError(
-                        f"{name} digest {digest[:12]}... does not match metadata")
-                bucket.append(np.load(path))
-        return cls(
-            chains=chains, logps=logps, param_names=meta["param_names"],
-            config=config, seeds=meta["seeds"], divergences=meta["divergences"],
-            warmup_divergences=meta["warmup_divergences"],
-            accept_rates=meta["accept_rates"], duration_s=meta["duration_s"],
-            G=meta["G"], J=meta["J"], data_digest=meta.get("data_digest"),
-        )
+        try:
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+            config = SamplerConfig(**meta["config"])
+            chains, logps = [], []
+            for c in range(config.n_chains):
+                for kind, bucket in (("draws", chains), ("logp", logps)):
+                    name = f"{kind}_chain{c:02d}.npy"
+                    path = src / name
+                    if not path.exists():
+                        raise IntegrityError(f"missing draw file {name}")
+                    digest = _sha256_file(path)
+                    if digest != meta["file_digests"].get(name):
+                        raise IntegrityError(
+                            f"{name} digest {digest[:12]}... does not match metadata")
+                    bucket.append(np.load(path))
+            return cls(
+                chains=chains, logps=logps, param_names=meta["param_names"],
+                config=config, seeds=meta["seeds"], divergences=meta["divergences"],
+                warmup_divergences=meta["warmup_divergences"],
+                accept_rates=meta["accept_rates"], duration_s=meta["duration_s"],
+                G=meta["G"], J=meta["J"], data_digest=meta.get("data_digest"),
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise IntegrityError(
+                f"malformed metadata.json under {src}: {type(exc).__name__}: {exc}") from exc
 
 
-def _sha256_file(path: Path) -> str:
+def _sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
+        for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
 
 
-def run_chains(data, index, spec, config: SamplerConfig,
+def run_chains(wf, spec, config: SamplerConfig,
                data_digest: str | None = None, progress: bool = False) -> PosteriorDraws:
-    """Sample the hierarchical model with config.n_chains independent chains.
+    """Sample the hierarchical model of Workforce wf with config.n_chains
+    independent chains.
 
     Chains run sequentially here; each one's generator is Philox keyed
     by base_seed XOR chain index, so the result is identical to any
@@ -477,9 +478,9 @@ def run_chains(data, index, spec, config: SamplerConfig,
     from .model import HierarchicalModel, natural_param_names
 
     config.validate()
-    model = HierarchicalModel(data, index, spec)
+    model = HierarchicalModel(wf, spec)
     lay = model.layout
-    names = natural_param_names(index)
+    names = natural_param_names(wf.index)
     t_start = time.monotonic()
 
     chains, logps = [], []

@@ -13,6 +13,10 @@ half-Normal priors applied on the natural scale plus the log-Jacobian
 of the exp transform, so the density is with respect to the
 unconstrained coordinates throughout.  Normalizing constants are kept
 in full to make value-level comparison against naive oracles exact.
+
+The natural-scale draw matrix uses the same ParamLayout slices: each z
+block holds its random effects, hyper_log_sigma the four scales and
+log_sigma_resid the residual scale.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, NumericOverflowError
 from .factors import FactorIndex
 from .kvconfig import parse_float, read_kv, write_kv
-from .records import WorkerRecord
+from .records import Workforce
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -65,26 +69,12 @@ class ModelSpec:
 
     def as_dict(self) -> dict:
         """JSON-friendly echo using the config-file key names."""
-        s2, s3, s4 = self.fixed_effect_prior_scales
-        return {
-            "hyperprior_mu_scale": self.hyperprior_mu_scale,
-            "hyperprior_sigma_scale": self.hyperprior_sigma_scale,
-            "beta2_prior_scale": s2,
-            "beta3_prior_scale": s3,
-            "beta4_prior_scale": s4,
-            "residual_sigma_prior_scale": self.residual_sigma_prior_scale,
-        }
+        values = (self.hyperprior_mu_scale, self.hyperprior_sigma_scale,
+                  *self.fixed_effect_prior_scales, self.residual_sigma_prior_scale)
+        return dict(zip(_SPEC_KEYS, values))
 
     def to_file(self, path: str | Path) -> None:
-        s2, s3, s4 = self.fixed_effect_prior_scales
-        write_kv(path, {
-            "hyperprior_mu_scale": self.hyperprior_mu_scale,
-            "hyperprior_sigma_scale": self.hyperprior_sigma_scale,
-            "beta2_prior_scale": s2,
-            "beta3_prior_scale": s3,
-            "beta4_prior_scale": s4,
-            "residual_sigma_prior_scale": self.residual_sigma_prior_scale,
-        })
+        write_kv(path, self.as_dict())
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ModelSpec":
@@ -159,10 +149,9 @@ class ParamLayout:
     def dim(self) -> int:
         return 2 * self.G + 2 * self.J + 12
 
-    @property
-    def natural_dim(self) -> int:
-        # natural scale replaces each log-sigma with a sigma, same count
-        return 2 * self.G + 2 * self.J + 12
+    def random_effects(self) -> tuple[slice, slice, slice, slice]:
+        """The z blocks, in the order of their hyper means and scales."""
+        return self.z_intercept_g, self.z_slope_g, self.z_intercept_j, self.z_slope_j
 
     def block_slices(self) -> dict[str, slice]:
         return {
@@ -193,216 +182,95 @@ def build_layout(index: FactorIndex) -> ParamLayout:
     return ParamLayout(G=index.n_gjs_geo, J=index.n_job_geo)
 
 
-@dataclass(frozen=True)
-class NaturalParams:
-    beta0_g: np.ndarray
-    beta1_g: np.ndarray
-    beta0_j: np.ndarray
-    beta1_j: np.ndarray
-    mu0_g: float
-    mu1_g: float
-    mu0_j: float
-    mu1_j: float
-    sigma0_g: float
-    sigma1_g: float
-    sigma0_j: float
-    sigma1_j: float
-    beta2: float
-    beta3: float
-    beta4: float
-    sigma_resid: float
-
-
-def to_natural(v: np.ndarray, layout: ParamLayout) -> NaturalParams:
-    """Map an unconstrained vector to natural-scale parameters."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (layout.dim,):
-        raise ContractViolation(
-            f"parameter vector has shape {v.shape}, layout wants ({layout.dim},)")
-    mu0g, mu1g, mu0j, mu1j = v[layout.hyper_mu]
-    with np.errstate(over="ignore"):  # inf scales propagate to -inf logp downstream
-        s0g, s1g, s0j, s1j = np.exp(v[layout.hyper_log_sigma])
-    b2, b3, b4 = v[layout.fixed]
-    with np.errstate(over="ignore", invalid="ignore"):
-        beta0_g = mu0g + s0g * v[layout.z_intercept_g]
-        beta1_g = mu1g + s1g * v[layout.z_slope_g]
-        beta0_j = mu0j + s0j * v[layout.z_intercept_j]
-        beta1_j = mu1j + s1j * v[layout.z_slope_j]
-    return NaturalParams(
-        beta0_g=beta0_g,
-        beta1_g=beta1_g,
-        beta0_j=beta0_j,
-        beta1_j=beta1_j,
-        mu0_g=float(mu0g), mu1_g=float(mu1g), mu0_j=float(mu0j), mu1_j=float(mu1j),
-        sigma0_g=float(s0g), sigma1_g=float(s1g), sigma0_j=float(s0j), sigma1_j=float(s1j),
-        beta2=float(b2), beta3=float(b3), beta4=float(b4),
-        sigma_resid=float(np.exp(v[layout.log_sigma_resid][0])),
-    )
-
-
 def natural_param_names(index: FactorIndex) -> list[str]:
     """Column names of the natural-scale draw matrix, in layout order."""
-    names = []
-    for g in range(index.n_gjs_geo):
-        names.append(f"beta0_g[{index.gjs_geo_label(g)}]")
-    for g in range(index.n_gjs_geo):
-        names.append(f"beta1_g[{index.gjs_geo_label(g)}]")
-    for j in range(index.n_job_geo):
-        names.append(f"beta0_j[{index.job_geo_label(j)}]")
-    for j in range(index.n_job_geo):
-        names.append(f"beta1_j[{index.job_geo_label(j)}]")
-    names.extend([
-        "mu0_g", "mu1_g", "mu0_j", "mu1_j",
-        "sigma0_g", "sigma1_g", "sigma0_j", "sigma1_j",
-        "beta2", "beta3", "beta4", "sigma_resid",
-    ])
+    lay = build_layout(index)
+    g_labels = [index.gjs_geo_label(g) for g in range(lay.G)]
+    j_labels = [index.job_geo_label(j) for j in range(lay.J)]
+    names = [""] * lay.dim
+    for block, prefix, labels in zip(lay.random_effects(),
+                                     ("beta0_g", "beta1_g", "beta0_j", "beta1_j"),
+                                     (g_labels, g_labels, j_labels, j_labels)):
+        names[block] = [f"{prefix}[{label}]" for label in labels]
+    names[lay.hyper_mu] = ["mu0_g", "mu1_g", "mu0_j", "mu1_j"]
+    names[lay.hyper_log_sigma] = ["sigma0_g", "sigma1_g", "sigma0_j", "sigma1_j"]
+    names[lay.fixed] = ["beta2", "beta3", "beta4"]
+    names[lay.log_sigma_resid] = ["sigma_resid"]
     return names
 
 
-def predict_log_salary(
-    p: NaturalParams,
-    w: WorkerRecord,
-    g: int,
-    j: int,
-    female_override: bool | None = None,
-) -> float:
-    """Linear predictor for one worker at the given group indices."""
-    if not (0 <= g < p.beta0_g.shape[0]) or not (0 <= j < p.beta0_j.shape[0]):
-        raise ContractViolation(f"group index out of range: g={g}, j={j}")
-    f = 1.0 if (w.female if female_override is None else female_override) else 0.0
-    return float(
-        p.beta0_g[g] + p.beta0_j[j]
-        + f * (p.beta1_g[g] + p.beta1_j[j])
-        + p.beta2 * w.recent_perf
-        + p.beta3 * w.past_perf
-        + p.beta4 * w.time_in_job
-    )
+def _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, wf: Workforce, female):
+    """Linear predictor of log salary for every worker of wf.
 
-
-def _half_normal_logpdf(x: float, scale: float) -> float:
-    r = float(x) / scale
-    if r > 1e150:  # r*r would overflow a Python float
-        return -math.inf
-    return math.log(2.0) - 0.5 * LOG_2PI - math.log(scale) - 0.5 * r * r
+    The effects are either one state's (G,), (J,) and (3,) vectors,
+    giving (n,), or one row per draw, (D, G), (D, J) and (D, 3), giving
+    (D, n).  female is the gender to predict at: a 0/1 column or a
+    scalar.  The operation order is the density's, so the sampler and
+    the report see the same numbers.  Private, so that the benchmark's
+    traced runs count its time in the density and the report.
+    """
+    g_of, j_of = wf.index.g_of, wf.index.j_of
+    # Built as (n, D), so that every gather, product and sum runs over
+    # contiguous rows, and returned as its (D, n) transpose.
+    eta = beta0_g.T[g_of] + beta0_j.T[j_of]
+    if np.ndim(female) or female:  # a male prediction has no gender term
+        female = np.reshape(female, (-1,) + (1,) * (eta.ndim - 1))
+        eta += female * (beta1_g.T[g_of] + beta1_j.T[j_of])
+    for k, covariate in enumerate((wf.recent, wf.past, wf.tenure)):
+        eta += np.multiply.outer(covariate, fixed[..., k])
+    return eta.T
 
 
 class HierarchicalModel:
-    """Bundles data arrays, factor index, layout, and prior scales.
+    """Bundles a Workforce, its layout, and prior scales.
 
-    log_posterior / grad_log_posterior validate and raise on non-finite
-    results; logp_and_grad is the non-raising fused path for samplers
-    (a non-finite state comes back as -inf and is the caller's signal
-    to reject).
+    logp_and_grad is the one density: non-raising, for samplers (a
+    non-finite state comes back as -inf and is the caller's signal to
+    reject).  log_posterior / grad_log_posterior are its validating
+    views and raise on non-finite results.
     """
 
-    def __init__(self, records: list[WorkerRecord], index: FactorIndex, spec: ModelSpec):
+    def __init__(self, wf: Workforce, spec: ModelSpec):
         spec.validate()
-        if len(records) != index.n_workers:
-            raise ContractViolation(
-                f"index covers {index.n_workers} workers, got {len(records)} records")
-        self.index = index
+        self.wf = wf
+        self.index = wf.index
         self.spec = spec
-        self.layout = build_layout(index)
-        self.y = np.array([r.log_salary for r in records], dtype=float)
-        self.female = np.array([1.0 if r.female else 0.0 for r in records])
-        self.recent = np.array([r.recent_perf for r in records], dtype=float)
-        self.past = np.array([r.past_perf for r in records], dtype=float)
-        self.tenure = np.array([r.time_in_job for r in records], dtype=float)
-        self.g_of = index.g_of
-        self.j_of = index.j_of
-        self.n = len(records)
+        self.layout = build_layout(wf.index)
+        self.female = wf.female.astype(float)
+        self.n = wf.n
 
     # -- density ---------------------------------------------------------
 
-    def _pieces(self, v: np.ndarray) -> dict[str, float]:
-        """Log-density contributions keyed by block name.
-
-        Prior pieces come first so that an exp overflow is attributed
-        to the log-scale block that caused it rather than to the
-        likelihood it contaminates.
-        """
-        lay = self.layout
-        spec = self.spec
-        z0g = v[lay.z_intercept_g]
-        z1g = v[lay.z_slope_g]
-        z0j = v[lay.z_intercept_j]
-        z1j = v[lay.z_slope_j]
-        mu = v[lay.hyper_mu]
-        ls = v[lay.hyper_log_sigma]
-        b = v[lay.fixed]
-        ls_res = float(v[lay.log_sigma_resid][0])
-
-        pieces: dict[str, float] = {}
-        for name, z in (("z_intercept_g", z0g), ("z_slope_g", z1g),
-                        ("z_intercept_j", z0j), ("z_slope_j", z1j)):
-            pieces[name] = float(-0.5 * LOG_2PI * z.size - 0.5 * np.dot(z, z))
-
-        S_mu = spec.hyperprior_mu_scale
-        pieces["hyper_mu"] = float(
-            -0.5 * LOG_2PI * 4 - 4 * math.log(S_mu) - 0.5 * np.dot(mu, mu) / S_mu ** 2)
-
-        # half-Normal on sigma = exp(ls), plus the log-Jacobian ls
-        S_sig = spec.hyperprior_sigma_scale
-        with np.errstate(over="ignore"):
-            sigmas = np.exp(ls)
-        pieces["hyper_log_sigma"] = float(
-            sum(_half_normal_logpdf(s, S_sig) for s in sigmas) + np.sum(ls))
-
-        s2, s3, s4 = spec.fixed_effect_prior_scales
-        pieces["fixed"] = float(sum(
-            -0.5 * LOG_2PI - math.log(sk) - 0.5 * (bk / sk) ** 2
-            for bk, sk in zip(b, (s2, s3, s4))))
-
-        sigma_resid = math.exp(ls_res) if ls_res < 350.0 else math.inf
-        pieces["log_sigma_resid"] = (
-            _half_normal_logpdf(sigma_resid, spec.residual_sigma_prior_scale) + ls_res
-            if math.isfinite(sigma_resid) else -math.inf)
-
-        resid = self._residuals(v)
-        ssr = float(np.dot(resid, resid))
-        if self.n == 0:
-            pieces["likelihood"] = 0.0
-        elif sigma_resid == 0.0 or not math.isfinite(ssr):
-            pieces["likelihood"] = -math.inf
-        else:
-            pieces["likelihood"] = (
-                -0.5 * LOG_2PI * self.n - self.n * ls_res - 0.5 * ssr / sigma_resid ** 2)
-        return pieces
-
-    def _residuals(self, v: np.ndarray) -> np.ndarray:
-        nat = to_natural(v, self.layout)
-        eta = (
-            nat.beta0_g[self.g_of] + nat.beta0_j[self.j_of]
-            + self.female * (nat.beta1_g[self.g_of] + nat.beta1_j[self.j_of])
-            + nat.beta2 * self.recent + nat.beta3 * self.past + nat.beta4 * self.tenure
-        )
-        return self.y - eta
-
     def log_posterior(self, v: np.ndarray) -> float:
-        v = self._check_vector(v)
-        pieces = self._pieces(v)
-        for name, val in pieces.items():
-            if not math.isfinite(val):
-                raise NumericOverflowError(name, f"non-finite log-density in block '{name}'")
-        return float(sum(pieces.values()))
+        return self._checked(v)[0]
 
     def grad_log_posterior(self, v: np.ndarray) -> np.ndarray:
-        v = self._check_vector(v)
-        pieces = self._pieces(v)
-        for name, val in pieces.items():
-            if not math.isfinite(val):
-                raise NumericOverflowError(name, f"non-finite log-density in block '{name}'")
-        _, grad = self.logp_and_grad(v)
-        if not np.all(np.isfinite(grad)):
-            bad = self._first_bad_block(grad)
-            raise NumericOverflowError(bad, f"non-finite gradient in block '{bad}'")
-        return grad
+        return self._checked(v)[1]
 
-    def _first_bad_block(self, grad: np.ndarray) -> str:
-        for name, sl in self.layout.block_slices().items():
-            if not np.all(np.isfinite(grad[sl])):
-                return name
-        return "unknown"
+    def _checked(self, v: np.ndarray) -> tuple[float, np.ndarray]:
+        v = self._check_vector(v)
+        logp, grad = self.logp_and_grad(v)
+        if not math.isfinite(logp):
+            block = self._overflow_block(v)
+            raise NumericOverflowError(block, f"non-finite log-density in block '{block}'")
+        return logp, grad
+
+    def _overflow_block(self, v: np.ndarray) -> str:
+        """Name the block behind a non-finite density.
+
+        Prior blocks are checked first, so that an exp overflow is
+        blamed on the log-scale block that caused it rather than on the
+        likelihood it contaminates.  Each prior term is quadratic in its
+        block (in the scales for the log-scale blocks).
+        """
+        with np.errstate(over="ignore"):
+            for name, sl in self.layout.block_slices().items():
+                x = v[sl]
+                if name in ("hyper_log_sigma", "log_sigma_resid"):
+                    x = np.exp(x)
+                if not math.isfinite(float(np.dot(x, x))):
+                    return name
+        return "likelihood"
 
     def _check_vector(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -424,8 +292,10 @@ class HierarchicalModel:
         z1j = v[lay.z_slope_j]
         mu0g, mu1g, mu0j, mu1j = v[lay.hyper_mu]
         ls = v[lay.hyper_log_sigma]
-        b2, b3, b4 = v[lay.fixed]
+        fixed = v[lay.fixed]
+        b2, b3, b4 = fixed
         ls_res = float(v[lay.log_sigma_resid][0])
+        wf = self.wf
 
         with np.errstate(over="ignore", invalid="ignore"):
             s0g, s1g, s0j, s1j = np.exp(ls)
@@ -435,12 +305,8 @@ class HierarchicalModel:
             beta1_g = mu1g + s1g * z1g
             beta0_j = mu0j + s0j * z0j
             beta1_j = mu1j + s1j * z1j
-            eta = (
-                beta0_g[self.g_of] + beta0_j[self.j_of]
-                + self.female * (beta1_g[self.g_of] + beta1_j[self.j_of])
-                + b2 * self.recent + b3 * self.past + b4 * self.tenure
-            )
-            resid = self.y - eta
+            eta = _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, wf, self.female)
+            resid = wf.log_salary - eta
             ssr = float(np.dot(resid, resid))
             var = sigma * sigma
             if not (var > 0.0) or not math.isfinite(ssr):
@@ -474,10 +340,11 @@ class HierarchicalModel:
             # d logp / d eta_i
             w = resid / var
             G, J = lay.G, lay.J
-            sum_g = np.bincount(self.g_of, weights=w, minlength=G)
-            sum_gf = np.bincount(self.g_of, weights=w * self.female, minlength=G)
-            sum_j = np.bincount(self.j_of, weights=w, minlength=J)
-            sum_jf = np.bincount(self.j_of, weights=w * self.female, minlength=J)
+            g_of, j_of = self.index.g_of, self.index.j_of
+            sum_g = np.bincount(g_of, weights=w, minlength=G)
+            sum_gf = np.bincount(g_of, weights=w * self.female, minlength=G)
+            sum_j = np.bincount(j_of, weights=w, minlength=J)
+            sum_jf = np.bincount(j_of, weights=w * self.female, minlength=J)
 
             grad = np.empty(lay.dim)
             grad[lay.z_intercept_g] = s0g * sum_g - z0g
@@ -494,9 +361,9 @@ class HierarchicalModel:
                 s1j * float(np.dot(sum_jf, z1j)),
             ]) + 1.0 - scale_vec ** 2 / S_sig ** 2
             grad[lay.fixed] = np.array([
-                float(np.dot(w, self.recent)) - b2 / s2 ** 2,
-                float(np.dot(w, self.past)) - b3 / s3 ** 2,
-                float(np.dot(w, self.tenure)) - b4 / s4 ** 2,
+                float(np.dot(w, wf.recent)) - b2 / s2 ** 2,
+                float(np.dot(w, wf.past)) - b3 / s3 ** 2,
+                float(np.dot(w, wf.tenure)) - b4 / s4 ** 2,
             ])
             grad[lay.log_sigma_resid] = (
                 -self.n + ssr / var + 1.0 - var / S_res ** 2)
@@ -516,27 +383,11 @@ class HierarchicalModel:
                 f"draw matrix has shape {draws.shape}, expected (*, {lay.dim})")
         mu = draws[:, lay.hyper_mu]
         scales = np.exp(draws[:, lay.hyper_log_sigma])
-        out = np.empty((draws.shape[0], lay.natural_dim))
-        G, J = lay.G, lay.J
-        out[:, 0:G] = mu[:, 0:1] + scales[:, 0:1] * draws[:, lay.z_intercept_g]
-        out[:, G:2 * G] = mu[:, 1:2] + scales[:, 1:2] * draws[:, lay.z_slope_g]
-        out[:, 2 * G:2 * G + J] = mu[:, 2:3] + scales[:, 2:3] * draws[:, lay.z_intercept_j]
-        out[:, 2 * G + J:2 * G + 2 * J] = mu[:, 3:4] + scales[:, 3:4] * draws[:, lay.z_slope_j]
-        base = 2 * G + 2 * J
-        out[:, base:base + 4] = mu
-        out[:, base + 4:base + 8] = scales
-        out[:, base + 8:base + 11] = draws[:, lay.fixed]
-        out[:, base + 11] = np.exp(draws[:, lay.log_sigma_resid][:, 0])
+        out = np.empty_like(draws)
+        for k, block in enumerate(lay.random_effects()):
+            out[:, block] = mu[:, k:k + 1] + scales[:, k:k + 1] * draws[:, block]
+        out[:, lay.hyper_mu] = mu
+        out[:, lay.hyper_log_sigma] = scales
+        out[:, lay.fixed] = draws[:, lay.fixed]
+        out[:, lay.log_sigma_resid.start] = np.exp(draws[:, lay.log_sigma_resid.start])
         return out
-
-
-# Module-level wrappers with the documented operation signatures.
-
-def log_posterior(v: np.ndarray, data: list[WorkerRecord], index: FactorIndex,
-                  spec: ModelSpec) -> float:
-    return HierarchicalModel(data, index, spec).log_posterior(v)
-
-
-def grad_log_posterior(v: np.ndarray, data: list[WorkerRecord], index: FactorIndex,
-                       spec: ModelSpec) -> np.ndarray:
-    return HierarchicalModel(data, index, spec).grad_log_posterior(v)

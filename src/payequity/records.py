@@ -1,19 +1,23 @@
-"""Workforce rows: CSV ingestion, validation, and round-trip output.
+"""The workforce: columnar storage, CSV ingestion, validation, and output.
 
 A worker row carries three categorical factors (geo, GJS, job), a
 gender flag, three covariates, and an annualized USD salary. The
 natural log of salary is the modeling target and is computed at load
-time, never read from the file.
+time, never read from the file. Rows are held as one column per field
+in a Workforce, together with the factor index built from them.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import EmptyDatasetError, SchemaError
+import numpy as np
+
+from .errors import ContractViolation, EmptyDatasetError, SchemaError
+from .factors import FactorIndex, build_factor_index
 
 REQUIRED_COLUMNS = (
     "worker_id",
@@ -37,18 +41,53 @@ NEGATIVE_TIME_IN_JOB = "NEGATIVE_TIME_IN_JOB"
 _FEMALE_VALUES = {"1": True, "true": True, "0": False, "false": False}
 
 
-@dataclass(frozen=True)
-class WorkerRecord:
-    worker_id: str
-    geo: str
-    gjs: str
-    job: str
-    female: bool
-    recent_perf: float
-    past_perf: float
-    time_in_job: float
-    salary: float
-    log_salary: float
+@dataclass(frozen=True, eq=False)
+class Workforce:
+    """One column per field, aligned with the factor index built from them.
+
+    Worker i is entry i of every column and of index.g_of / index.j_of.
+    Build one with from_columns, which checks that the columns agree
+    in length and builds the index once.
+    """
+
+    worker_id: tuple[str, ...]
+    geo: tuple[str, ...]
+    gjs: tuple[str, ...]
+    job: tuple[str, ...]
+    female: np.ndarray      # bool
+    recent: np.ndarray      # recent_perf
+    past: np.ndarray        # past_perf
+    tenure: np.ndarray      # time_in_job
+    salary: np.ndarray
+    log_salary: np.ndarray
+    index: FactorIndex
+
+    @classmethod
+    def from_columns(cls, worker_id, geo, gjs, job, female, recent, past, tenure,
+                     salary, log_salary=None) -> "Workforce":
+        """Assemble a Workforce; log_salary defaults to log(salary)."""
+        labels = [tuple(c) for c in (worker_id, geo, gjs, job)]
+        numeric = [np.asarray(female, dtype=bool)]
+        numeric += [np.asarray(c, dtype=float) for c in (recent, past, tenure, salary)]
+        if log_salary is None:
+            # libm's log value by value, so the target does not depend on
+            # which vectorized log numpy dispatches to
+            log_salary = [math.log(s) for s in numeric[-1].tolist()]
+        numeric.append(np.asarray(log_salary, dtype=float))
+        n = len(labels[0])
+        if any(len(c) != n for c in labels + numeric):
+            raise ContractViolation("workforce columns differ in length")
+        return cls(*labels, *numeric, index=build_factor_index(*labels[1:], numeric[0]))
+
+    @property
+    def n(self) -> int:
+        return len(self.worker_id)
+
+    def __eq__(self, other):
+        if not isinstance(other, Workforce):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.name != "index")
 
 
 @dataclass(frozen=True)
@@ -78,8 +117,9 @@ class ExclusionLog:
                 writer.writerow([row.row_number, row.worker_id, row.reason])
 
 
-def _validate_row(row: dict[str, str]) -> tuple[WorkerRecord | None, str | None]:
-    """Return (record, None) for a clean row or (None, reason_code)."""
+def _validate_row(row: dict[str, str]) -> tuple[tuple | None, str | None]:
+    """Return (values in REQUIRED_COLUMNS order, None) for a clean row
+    or (None, reason_code)."""
     values = {}
     for col in REQUIRED_COLUMNS:
         raw = row.get(col)
@@ -106,24 +146,12 @@ def _validate_row(row: dict[str, str]) -> tuple[WorkerRecord | None, str | None]
     if numeric["time_in_job"] < 0.0:
         return None, NEGATIVE_TIME_IN_JOB
 
-    return (
-        WorkerRecord(
-            worker_id=values["worker_id"],
-            geo=values["geo"],
-            gjs=values["gjs"],
-            job=values["job"],
-            female=female,
-            recent_perf=numeric["recent_perf"],
-            past_perf=numeric["past_perf"],
-            time_in_job=numeric["time_in_job"],
-            salary=numeric["salary"],
-            log_salary=math.log(numeric["salary"]),
-        ),
-        None,
-    )
+    return (values["worker_id"], values["geo"], values["gjs"], values["job"], female,
+            numeric["recent_perf"], numeric["past_perf"], numeric["time_in_job"],
+            numeric["salary"]), None
 
 
-def load_csv(path: str | Path) -> tuple[list[WorkerRecord], ExclusionLog]:
+def load_csv(path: str | Path) -> tuple[Workforce, ExclusionLog]:
     """Load and validate a workforce CSV.
 
     Rows violating any field constraint are dropped and itemized in the
@@ -131,7 +159,7 @@ def load_csv(path: str | Path) -> tuple[list[WorkerRecord], ExclusionLog]:
     required column is absent and EmptyDatasetError when nothing
     survives validation.  I/O failures propagate as OSError.
     """
-    records: list[WorkerRecord] = []
+    columns: list[list] = [[] for _ in REQUIRED_COLUMNS]
     excluded = ExclusionLog()
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -140,35 +168,25 @@ def load_csv(path: str | Path) -> tuple[list[WorkerRecord], ExclusionLog]:
             if col not in header:
                 raise SchemaError(f"missing required column: {col}")
         for row_number, row in enumerate(reader, start=1):
-            record, reason = _validate_row(row)
-            if record is None:
+            values, reason = _validate_row(row)
+            if values is None:
                 excluded.add(row_number, (row.get("worker_id") or "").strip(), reason)
             else:
-                records.append(record)
-    if not records:
+                for column, value in zip(columns, values):
+                    column.append(value)
+    if not columns[0]:
         raise EmptyDatasetError(f"no valid rows in {path}")
-    return records, excluded
+    return Workforce.from_columns(*columns), excluded
 
 
-def write_csv(records: list[WorkerRecord], path: str | Path) -> None:
-    """Write records so that load_csv reproduces them field for field.
+def write_csv(wf: Workforce, path: str | Path) -> None:
+    """Write a Workforce so that load_csv reproduces it field for field.
 
     Floats are written with repr (shortest exact round-trip form).
     """
+    female = ["1" if f else "0" for f in wf.female.tolist()]
+    floats = [map(repr, c.tolist()) for c in (wf.recent, wf.past, wf.tenure, wf.salary)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REQUIRED_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.worker_id,
-                    r.geo,
-                    r.gjs,
-                    r.job,
-                    "1" if r.female else "0",
-                    repr(r.recent_perf),
-                    repr(r.past_perf),
-                    repr(r.time_in_job),
-                    repr(r.salary),
-                ]
-            )
+        writer.writerows(zip(wf.worker_id, wf.geo, wf.gjs, wf.job, female, *floats))

@@ -19,22 +19,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
+from .model import ParamLayout, _linear_predictor
 
 
 @dataclass(frozen=True)
-class PredictionPair:
-    """Factual and gender-flipped salary predictions for one worker.
+class Predictions:
+    """Posterior-mean predictions, one entry per worker of the Workforce.
 
-    y_hat_female / y_hat_male are the same two numbers keyed by gender
-    instead of by factual/counterfactual: for a female worker
-    y_hat_female is the factual mean, for a male worker it is the
-    counterfactual one.
+    y_hat_female / y_hat_male are the dollar-scale means with the worker
+    set to female / male; for a female worker y_hat_female is the
+    factual prediction, for a male worker the counterfactual one.
+    mean_log is the mean linear predictor at the worker's own gender.
     """
-    worker_id: str
-    factual_mean_usd: float
-    counterfactual_mean_usd: float
-    y_hat_female: float
-    y_hat_male: float
+    worker_id: tuple
+    y_hat_female: np.ndarray
+    y_hat_male: np.ndarray
+    mean_log: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,105 +71,79 @@ class GapReport:
 
 
 def _natural_blocks(draws):
-    """Split a pooled natural-scale draw matrix into named blocks."""
-    G, J = draws.G, draws.J
+    """Split a pooled natural-scale draw matrix into the blocks the
+    predictor needs: beta0_g, beta1_g, beta0_j, beta1_j, fixed effects."""
+    lay = ParamLayout(draws.G, draws.J)
     m = draws.pooled()
-    k = 0
-    beta0_g = m[:, k:k + G]; k += G
-    beta1_g = m[:, k:k + G]; k += G
-    beta0_j = m[:, k:k + J]; k += J
-    beta1_j = m[:, k:k + J]; k += J
-    k += 8  # hyperparameters, not used for prediction
-    beta2 = m[:, k]; beta3 = m[:, k + 1]; beta4 = m[:, k + 2]
-    return beta0_g, beta1_g, beta0_j, beta1_j, beta2, beta3, beta4
+    return tuple(m[:, block] for block in (*lay.random_effects(), lay.fixed))
 
 
-def _predicted_log_salary_draws(draws, data, index):
-    """(n_draws, n_workers) matrices at female=1 and female=0."""
-    if index.n_workers != len(data):
-        raise ContractViolation("index and data disagree on worker count")
+def counterfactual_predictions(draws, wf):
+    """Predictions for every worker, averaging exp(draws) per gender."""
+    index = wf.index
     if index.n_gjs_geo != draws.G or index.n_job_geo != draws.J:
         raise ContractViolation(
             "draws were produced for G=%d, J=%d but index has G=%d, J=%d"
             % (draws.G, draws.J, index.n_gjs_geo, index.n_job_geo))
-    beta0_g, beta1_g, beta0_j, beta1_j, beta2, beta3, beta4 = _natural_blocks(draws)
-    recent = np.array([r.recent_perf for r in data])
-    past = np.array([r.past_perf for r in data])
-    tenure = np.array([r.time_in_job for r in data])
-    base = (beta0_g[:, index.g_of] + beta0_j[:, index.j_of]
-            + np.outer(beta2, recent) + np.outer(beta3, past)
-            + np.outer(beta4, tenure))
-    slope = beta1_g[:, index.g_of] + beta1_j[:, index.j_of]
-    return base + slope, base  # at female=1, at female=0
+    blocks = _natural_blocks(draws)
+    y_hat, mean_log = [], []
+    # one (draws, workers) matrix at a time keeps the peak memory down
+    for female in (1.0, 0.0):
+        eta = _linear_predictor(*blocks, wf, female)
+        mean_log.append(eta.mean(axis=0))
+        y_hat.append(np.exp(eta).mean(axis=0))
+        del eta
+    return Predictions(
+        worker_id=wf.worker_id,
+        y_hat_female=y_hat[0],
+        y_hat_male=y_hat[1],
+        mean_log=np.where(wf.female, mean_log[0], mean_log[1]),
+    )
 
 
-def counterfactual_predictions(draws, data, index):
-    """One PredictionPair per worker, averaging exp(draws) per gender."""
-    eta_f, eta_m = _predicted_log_salary_draws(draws, data, index)
-    yhat_f = np.exp(eta_f).mean(axis=0)
-    yhat_m = np.exp(eta_m).mean(axis=0)
-    pairs = []
-    for i, r in enumerate(data):
-        f, m = float(yhat_f[i]), float(yhat_m[i])
-        factual, counter = (f, m) if r.female else (m, f)
-        pairs.append(PredictionPair(
-            worker_id=r.worker_id,
-            factual_mean_usd=factual,
-            counterfactual_mean_usd=counter,
-            y_hat_female=f,
-            y_hat_male=m,
-        ))
-    return pairs
-
-
-def adjusted_cents_to_dollar(pairs):
+def adjusted_cents_to_dollar(pred):
     """Workforce-level ratio sum(y_hat_female) / sum(y_hat_male).
 
     Every worker contributes one female-gendered and one male-gendered
     prediction, which is what makes the ratio insensitive to the
     gender mix.
     """
-    if not pairs:
+    if len(pred.worker_id) == 0:
         raise ContractViolation("adjusted cents-to-the-dollar needs at least one worker")
-    num = 0.0
-    den = 0.0
-    for p in pairs:
-        if not (p.factual_mean_usd > 0.0 and p.counterfactual_mean_usd > 0.0):
-            raise ContractViolation(
-                "nonpositive prediction for worker %s" % p.worker_id)
-        num += p.y_hat_female
-        den += p.y_hat_male
-    return num / den
+    bad = ~((pred.y_hat_female > 0.0) & (pred.y_hat_male > 0.0))
+    if bad.any():
+        raise ContractViolation(
+            "nonpositive prediction for worker %s" % pred.worker_id[int(np.argmax(bad))])
+    return float(np.sum(pred.y_hat_female)) / float(np.sum(pred.y_hat_male))
 
 
-def group_gap_summaries(draws, index, interval_mass=0.95, pairs=None, data=None):
+def group_gap_summaries(draws, wf, interval_mass=0.95, predictions=None):
     """Per job-geo posterior summary of the total female effect.
 
     Every group in the index gets exactly one summary, including
     single-worker and single-gender groups (the pooled effect exists
-    for them even when no within-group contrast does). When pairs and
-    data are supplied, dollar gaps are the median and mean over the
-    group's workers of (y_hat_male - y_hat_female); otherwise NaN.
+    for them even when no within-group contrast does). When predictions
+    are supplied, dollar gaps are the median and mean over the group's
+    workers of (y_hat_male - y_hat_female); otherwise NaN.
     """
     if not (0.0 < interval_mass < 1.0):
         raise ContractViolation("interval_mass must lie in (0, 1)")
-    _, beta1_g, _, beta1_j, _, _, _ = _natural_blocks(draws)
+    index = wf.index
+    _, beta1_g, _, beta1_j, _ = _natural_blocks(draws)
     gj = index.gjs_geo_of_job_geo()
     alpha = (1.0 - interval_mass) / 2.0
 
     gaps_by_group = None
-    if pairs is not None:
-        if data is None or len(pairs) != len(data):
-            raise ContractViolation("pairs and data must align worker for worker")
-        gaps_by_group = [[] for _ in range(index.n_job_geo)]
-        for i, p in enumerate(pairs):
-            gaps_by_group[index.j_of[i]].append(p.y_hat_male - p.y_hat_female)
+    if predictions is not None:
+        gaps = predictions.y_hat_male - predictions.y_hat_female
+        order = np.argsort(index.j_of, kind="stable")  # workers in file order within a group
+        gaps_by_group = np.split(gaps[order], np.cumsum(index.group_sizes)[:-1])
 
     out = []
     for j in range(index.n_job_geo):
         eff = beta1_g[:, gj[j]] + beta1_j[:, j]
         lo, hi = np.quantile(eff, [alpha, 1.0 - alpha])
-        if gaps_by_group is not None and gaps_by_group[j]:
+        if gaps_by_group is not None and len(gaps_by_group[j]):
             med_gap = float(np.median(gaps_by_group[j]))
             mean_gap = float(np.mean(gaps_by_group[j]))
         else:
@@ -191,7 +165,7 @@ def group_gap_summaries(draws, index, interval_mass=0.95, pairs=None, data=None)
     return out
 
 
-def raise_recommendations(pairs, summaries, data, index):
+def raise_recommendations(pred, summaries, wf):
     """Raises for workers of the disadvantaged gender in significant groups.
 
     In a group whose female effect is significantly negative, female
@@ -199,35 +173,24 @@ def raise_recommendations(pairs, summaries, data, index):
     significantly positive effect the rule mirrors to male workers.
     Workers with nothing to recommend are omitted.
     """
-    if not (len(pairs) == len(data) == index.n_workers):
-        raise ContractViolation("pairs, data, and index must cover the same workers")
-    by_group = {s.job_geo: s for s in summaries}
-    out = []
-    for i, (p, r) in enumerate(zip(pairs, data)):
-        s = by_group.get(int(index.j_of[i]))
-        if s is None or not s.significant:
-            continue
-        female_disadvantaged = s.effect_mean < 0.0
-        if r.female and female_disadvantaged:
-            amount = max(0.0, p.y_hat_male - p.y_hat_female)
-        elif (not r.female) and (not female_disadvantaged):
-            amount = max(0.0, p.y_hat_female - p.y_hat_male)
-        else:
-            continue
-        if amount > 0.0:
-            out.append((p.worker_id, amount))
-    return out
+    J = wf.index.n_job_geo
+    significant = np.zeros(J, dtype=bool)
+    female_disadvantaged = np.zeros(J, dtype=bool)
+    for s in summaries:
+        significant[s.job_geo] = s.significant
+        female_disadvantaged[s.job_geo] = s.effect_mean < 0.0
+    j_of = wf.index.j_of
+    due = significant[j_of] & (wf.female == female_disadvantaged[j_of])
+    gap = pred.y_hat_male - pred.y_hat_female
+    amount = np.where(wf.female, gap, -gap)
+    return [(wf.worker_id[i], float(amount[i]))
+            for i in np.flatnonzero(due & (amount > 0.0))]
 
 
-def fit_metrics(draws, data, index):
-    """In-sample (R^2, RMSE) of mean predicted log-salary at true gender."""
-    if not data:
-        raise ContractViolation("fit metrics need at least one worker")
-    eta_f, eta_m = _predicted_log_salary_draws(draws, data, index)
-    female = np.array([r.female for r in data], dtype=bool)
-    pred = np.where(female, eta_f.mean(axis=0), eta_m.mean(axis=0))
-    obs = np.array([r.log_salary for r in data])
-    resid = obs - pred
+def fit_metrics(wf, pred):
+    """In-sample (R^2, RMSE) of the mean predicted log-salary at true gender."""
+    obs = wf.log_salary
+    resid = obs - pred.mean_log
     rmse = float(np.sqrt(np.mean(resid ** 2)))
     ss_tot = float(np.sum((obs - obs.mean()) ** 2))
     if ss_tot == 0.0:
@@ -236,14 +199,13 @@ def fit_metrics(draws, data, index):
     return r2, rmse
 
 
-def build_gap_report(draws, data, index, interval_mass=0.95):
+def build_gap_report(draws, wf, interval_mass=0.95):
     """Assemble the full GapReport from one fitted run."""
-    pairs = counterfactual_predictions(draws, data, index)
-    summaries = group_gap_summaries(draws, index, interval_mass,
-                                    pairs=pairs, data=data)
-    cents = adjusted_cents_to_dollar(pairs)
-    raises = raise_recommendations(pairs, summaries, data, index)
-    r2, rmse = fit_metrics(draws, data, index)
+    pred = counterfactual_predictions(draws, wf)
+    summaries = group_gap_summaries(draws, wf, interval_mass, predictions=pred)
+    cents = adjusted_cents_to_dollar(pred)
+    raises = raise_recommendations(pred, summaries, wf)
+    r2, rmse = fit_metrics(wf, pred)
     return GapReport(
         summaries=summaries,
         adjusted_cents_to_dollar=cents,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kvconfig import read_kv, write_kv
-from .records import WorkerRecord
+from .records import Workforce
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class GroundTruth:
         return cls({k: float(v) for k, v in read_kv(path).items()})
 
 
-def generate_synthetic(config: SynthConfig) -> tuple[list[WorkerRecord], GroundTruth]:
+def generate_synthetic(config: SynthConfig) -> tuple[Workforce, GroundTruth]:
     """Draw a workforce from the hierarchical generating process.
 
     Jobs are nested in GJS codes round-robin; every job exists in every
@@ -159,8 +159,7 @@ def generate_synthetic(config: SynthConfig) -> tuple[list[WorkerRecord], GroundT
     probs = config.group_size_law.probabilities()
     sizes = np.arange(1, config.group_size_law.max_size + 1)
 
-    records: list[WorkerRecord] = []
-    worker_seq = 0
+    columns: tuple[list, ...] = tuple([] for _ in range(10))
     for ji, job in enumerate(jobs):
         gi = gjs_of_job[ji]
         for ei, geo in enumerate(geos):
@@ -179,23 +178,13 @@ def generate_synthetic(config: SynthConfig) -> tuple[list[WorkerRecord], GroundT
                     + b4 * tenure
                 )
                 log_salary = float(eta + config.residual_scale * rng.standard_normal())
-                records.append(
-                    WorkerRecord(
-                        worker_id=f"w{worker_seq:06d}",
-                        geo=geo,
-                        gjs=gjs_codes[gi],
-                        job=job,
-                        female=female,
-                        recent_perf=recent,
-                        past_perf=past,
-                        time_in_job=tenure,
-                        salary=math.exp(log_salary),
-                        log_salary=log_salary,
-                    )
-                )
-                worker_seq += 1
+                row = (f"w{len(columns[0]):06d}", geo, gjs_codes[gi], job, female,
+                       recent, past, tenure, math.exp(log_salary), log_salary)
+                for column, value in zip(columns, row):
+                    column.append(value)
 
-    return records, GroundTruth(values)
+    # log_salary stays the generated value, not log(exp(log_salary))
+    return Workforce.from_columns(*columns), GroundTruth(values)
 
 
 def config_summary(config: SynthConfig) -> dict:

@@ -18,16 +18,15 @@ from scipy.stats import norm
 from payequity.baseline import build_design_matrix, fit_ols
 from payequity.diagnostics import (convergence_report, effective_sample_size,
                                    split_rhat)
-from payequity.factors import build_factor_index
 from payequity.hmc import (AcceptStats, ChainState, SamplerConfig,
                            adapt_warmup, hmc_transition, run_chains)
 from payequity.model import HierarchicalModel, ModelSpec
-from payequity.report import (PredictionPair, adjusted_cents_to_dollar,
-                              build_gap_report, fit_metrics,
+from payequity.report import (Predictions, adjusted_cents_to_dollar,
+                              build_gap_report, counterfactual_predictions, fit_metrics,
                               group_gap_summaries)
 from payequity.synthetic import GroupSizeLaw, SynthConfig, generate_synthetic
 
-from test_records import make_record
+from test_records import make_record, workforce
 
 # Workforce fixture for the recovery/convergence/coverage/determinism
 # checks: 10 GJS-geo groups, 50 job-geo groups, ~1,900 workers with a
@@ -62,9 +61,9 @@ def verdict(num, name, ok, detail):
 @pytest.fixture(scope="module")
 def workforce_run():
     records, truth = generate_synthetic(WORKFORCE)
-    index = build_factor_index(records)
+    index = records.index
     t0 = time.time()
-    draws = run_chains(records, index, ModelSpec(), SAMPLER)
+    draws = run_chains(records, ModelSpec(), SAMPLER)
     duration = time.time() - t0
     return SimpleNamespace(records=records, truth=truth, index=index,
                            draws=draws, duration=duration)
@@ -83,9 +82,9 @@ def test_criterion_1_gradient_matches_finite_differences():
             recent_perf=float(rng.normal()), past_perf=float(rng.normal()),
             time_in_job=float(rng.exponential(2.0)),
             salary=float(np.exp(10.0 + 0.5 * rng.normal()))))
-    index = build_factor_index(records)
+    index = workforce(records).index
     assert index.n_gjs_geo == 2 and index.n_job_geo == 3
-    model = HierarchicalModel(records, index, ModelSpec())
+    model = HierarchicalModel(workforce(records), ModelSpec())
     dim = model.layout.dim
     spec = ModelSpec()
     scale = np.ones(dim)
@@ -168,16 +167,16 @@ def test_criterion_4_full_group_coverage(workforce_run):
     run = workforce_run
     records, index = run.records, run.index
 
-    report = build_gap_report(run.draws, records, index)
+    report = build_gap_report(run.draws, records)
     hlm_groups = {s.job_geo for s in report.summaries}
 
-    design = build_design_matrix(records, index)
-    lm = fit_ols(design, np.array([r.log_salary for r in records]))
+    design = build_design_matrix(records)
+    lm = fit_ols(design, records.log_salary)
 
-    # independent gender-count oracle straight from the raw records
+    # independent gender-count oracle straight from the raw columns
     genders_seen = {}
-    for r in records:
-        genders_seen.setdefault((r.job, r.geo), set()).add(r.female)
+    for job, geo, female in zip(records.job, records.geo, records.female.tolist()):
+        genders_seen.setdefault((job, geo), set()).add(female)
     oracle_invariant = {
         j for j in range(index.n_job_geo)
         if genders_seen[index.job_geo_levels[j]] != {True, False}}
@@ -223,15 +222,15 @@ def test_criterion_5_small_group_shrinkage():
     trials = 20
     details = []
     for t in range(trials):
-        records = zero_effect_workforce(1000 + t)
-        index = build_factor_index(records)
+        records = workforce(zero_effect_workforce(1000 + t))
+        index = records.index
         config = SamplerConfig(n_chains=2, n_warmup=150, n_samples=150,
                                leapfrog_steps=64, target_accept=0.85,
                                base_seed=500 + 2 * t)
-        draws = run_chains(records, index, ModelSpec(), config)
-        summaries = group_gap_summaries(draws, index)
-        design = build_design_matrix(records, index)
-        lm = fit_ols(design, np.array([r.log_salary for r in records]))
+        draws = run_chains(records, ModelSpec(), config)
+        summaries = group_gap_summaries(draws, records)
+        design = build_design_matrix(records)
+        lm = fit_ols(design, records.log_salary)
         small = [j for j in lm.estimable_groups if index.group_sizes[j] <= 4]
         assert small, "fixture must contain small gender-variant groups"
         hlm_mean = np.mean([abs(summaries[j].effect_mean) for j in small])
@@ -249,22 +248,26 @@ def test_criterion_5_small_group_shrinkage():
 
 def test_criterion_6_cents_to_the_dollar_identities():
     def pair(wid, y_f, y_m, female):
-        factual, counter = (y_f, y_m) if female else (y_m, y_f)
-        return PredictionPair(worker_id=wid, factual_mean_usd=factual,
-                              counterfactual_mean_usd=counter,
-                              y_hat_female=y_f, y_hat_male=y_m)
+        return (wid, y_f, y_m, female)
+
+    def adjusted_cents_to_dollar_of(pairs):
+        pred = Predictions(worker_id=tuple(p[0] for p in pairs),
+                           y_hat_female=np.array([p[1] for p in pairs]),
+                           y_hat_male=np.array([p[2] for p in pairs]),
+                           mean_log=np.zeros(len(pairs)))
+        return adjusted_cents_to_dollar(pred)
 
     symmetric = [pair("s1", 80000.0, 80000.0, True),
                  pair("s2", 123456.0, 123456.0, False)]
-    err_sym = abs(adjusted_cents_to_dollar(symmetric) - 1.0)
+    err_sym = abs(adjusted_cents_to_dollar_of(symmetric) - 1.0)
 
     hand = [pair("h1", 100.0, 110.0, True), pair("h2", 100.0, 110.0, False)]
-    err_hand = abs(adjusted_cents_to_dollar(hand) - 10.0 / 11.0)
+    err_hand = abs(adjusted_cents_to_dollar_of(hand) - 10.0 / 11.0)
 
     base = [pair("d1", 100.0, 110.0, True), pair("d2", 97.0, 104.0, False),
             pair("d3", 120.0, 118.0, True)]
-    r1 = adjusted_cents_to_dollar(base)
-    dup_exact = all(adjusted_cents_to_dollar(base * k) == r1 for k in (2, 3, 5))
+    r1 = adjusted_cents_to_dollar_of(base)
+    dup_exact = all(adjusted_cents_to_dollar_of(base * k) == r1 for k in (2, 3, 5))
 
     ok = err_sym < 1e-12 and err_hand < 1e-12 and dup_exact
     verdict(6, "cents-to-the-dollar identities", ok,
@@ -280,9 +283,8 @@ def test_criterion_7_fit_metric_calibration():
         group_size_law=GroupSizeLaw(exponent=1.0, max_size=40),
         female_rate=0.4, residual_scale=0.07, seed=11)
     records, truth = generate_synthetic(config)
-    index = build_factor_index(records)
 
-    obs = np.array([r.log_salary for r in records])
+    obs = records.log_salary
     noise_var = config.residual_scale ** 2
     signal_var = float(obs.var()) - noise_var
     assert signal_var >= 100.0 * noise_var, (
@@ -292,13 +294,13 @@ def test_criterion_7_fit_metric_calibration():
     sampler = SamplerConfig(n_chains=2, n_warmup=300, n_samples=300,
                             leapfrog_steps=64, target_accept=0.9,
                             base_seed=200)
-    draws = run_chains(records, index, ModelSpec(), sampler)
-    r2, rmse = fit_metrics(draws, records, index)
+    draws = run_chains(records, ModelSpec(), sampler)
+    r2, rmse = fit_metrics(records, counterfactual_predictions(draws, records))
     ok = 0.056 <= rmse <= 0.084 and r2 > 0.99
     verdict(7, "fit-metric calibration", ok,
             "n=%d, RMSE(log) %.4f in [0.056, 0.084], R^2 %.4f > 0.99, "
             "signal/noise %.0fx"
-            % (len(records), rmse, r2, signal_var / noise_var))
+            % (records.n, rmse, r2, signal_var / noise_var))
 
 
 # ---------------------------------------------------------------------- 8
@@ -383,7 +385,7 @@ def test_criterion_9_sampler_on_known_gaussian():
 
 def test_criterion_10_bit_identical_rerun(workforce_run, tmp_path):
     run = workforce_run
-    draws_again = run_chains(run.records, run.index, ModelSpec(), SAMPLER)
+    draws_again = run_chains(run.records, ModelSpec(), SAMPLER)
 
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     run.draws.save(dir_a)

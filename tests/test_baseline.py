@@ -8,33 +8,31 @@ from payequity.baseline import (build_design_matrix, compare_estimates,
                                 fit_ols, format_comparison_text,
                                 write_comparison_csv)
 from payequity.errors import ContractViolation
-from payequity.factors import build_factor_index
 from payequity.report import GroupGapSummary
 
-from test_records import make_record
+from test_records import make_record, workforce
 
 
 def fit(records):
-    index = build_factor_index(records)
-    design = build_design_matrix(records, index)
-    y = np.array([r.log_salary for r in records])
-    return index, design, fit_ols(design, y)
+    wf = workforce(records)
+    design = build_design_matrix(wf)
+    return wf.index, design, fit_ols(design, wf.log_salary)
 
 
 # ----------------------------------------------------------- design matrix
 
 def test_single_worker_design_has_four_columns():
     records = [make_record(0, female=False)]
-    index = build_factor_index(records)
-    design = build_design_matrix(records, index)
+    wf = workforce(records)
+    design = build_design_matrix(wf)
     assert design.n_cols == 4  # intercept + 3 covariates, no female column
     assert design.female_col == {}
 
 
 def test_opposite_gender_pair_adds_female_column():
     records = [make_record(0, female=False), make_record(1, female=True)]
-    index = build_factor_index(records)
-    design = build_design_matrix(records, index)
+    wf = workforce(records)
+    design = build_design_matrix(wf)
     assert design.n_cols == 5
     assert list(design.female_col) == [0]
     assert design.labels[design.female_col[0]].startswith("female[")
@@ -47,8 +45,8 @@ def test_ten_groups_four_variant_gives_seventeen_columns():
         records.append(make_record(i, job="job%d" % j, female=False)); i += 1
         if j < 4:
             records.append(make_record(i, job="job%d" % j, female=True)); i += 1
-    index = build_factor_index(records)
-    design = build_design_matrix(records, index)
+    wf = workforce(records)
+    design = build_design_matrix(wf)
     assert design.n_cols == 10 + 4 + 3
     assert set(design.female_col) == {0, 1, 2, 3}
 
@@ -58,8 +56,8 @@ def test_female_column_zero_outside_its_group():
                make_record(1, job="a", female=False),
                make_record(2, job="b", female=True),
                make_record(3, job="b", female=False)]
-    index = build_factor_index(records)
-    design = build_design_matrix(records, index)
+    wf = workforce(records)
+    design = build_design_matrix(wf)
     col_a = design.female_col[0]
     assert design.X[2, col_a] == 0.0 and design.X[3, col_a] == 0.0
     assert design.X[0, col_a] == 1.0 and design.X[1, col_a] == 0.0
@@ -117,8 +115,8 @@ def test_residuals_orthogonal_to_retained_columns():
 
 def test_exact_interpolation_when_response_in_column_space():
     records = noisy_fixture()
-    index = build_factor_index(records)
-    design = build_design_matrix(records, index)
+    wf = workforce(records)
+    design = build_design_matrix(wf)
     c = np.linspace(0.5, 1.5, design.n_cols)
     y = design.X @ c
     lm = fit_ols(design, y)
@@ -194,8 +192,8 @@ def test_saturated_fit_returns_nan_standard_errors():
 
 def test_rank_zero_design_rejected():
     records = [make_record(0, recent_perf=0.0, past_perf=0.0, time_in_job=0.0)]
-    index = build_factor_index(records)
-    design = build_design_matrix(records, index)
+    wf = workforce(records)
+    design = build_design_matrix(wf)
     design.X = np.zeros_like(design.X)
     with pytest.raises(ContractViolation):
         fit_ols(design, np.array([11.0]))
@@ -203,8 +201,8 @@ def test_rank_zero_design_rejected():
 
 def test_response_length_checked():
     records = noisy_fixture()
-    index = build_factor_index(records)
-    design = build_design_matrix(records, index)
+    wf = workforce(records)
+    design = build_design_matrix(wf)
     with pytest.raises(ContractViolation):
         fit_ols(design, np.zeros(len(records) + 1))
 
@@ -334,8 +332,9 @@ def balanced_fit():
     index, design, lm = fit(records)
     config = SamplerConfig(n_chains=2, n_warmup=300, n_samples=300,
                            leapfrog_steps=256, target_accept=0.9, base_seed=40)
-    draws = run_chains(records, index, ModelSpec(), config)
-    summaries = group_gap_summaries(draws, index)
+    wf = workforce(records)
+    draws = run_chains(wf, ModelSpec(), config)
+    summaries = group_gap_summaries(draws, wf)
     return index, lm, summaries
 
 

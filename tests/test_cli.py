@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from payequity import cli
-from payequity.factors import build_factor_index
 from payequity.hmc import PosteriorDraws, SamplerConfig
 from payequity.model import natural_param_names
 from payequity.records import load_csv
@@ -165,7 +164,7 @@ def test_diagnose_reruns_on_stored_draws(sim_and_fit, tmp_path, capsys):
     assert header == "parameter_name,rhat,ess,flagged"
 
 
-def test_diagnose_corrupted_draws_is_runtime_error(sim_and_fit, tmp_path):
+def test_diagnose_corrupted_draws_is_runtime_error(sim_and_fit, tmp_path, capsys):
     tmp, sim, fit = sim_and_fit
     broken = tmp_path / "broken"
     broken.mkdir()
@@ -177,13 +176,32 @@ def test_diagnose_corrupted_draws_is_runtime_error(sim_and_fit, tmp_path):
                    "--out", str(tmp_path / "d")])
     assert rc == 1
 
+    # malformed metadata.json: truncated, a key missing, a value of the wrong type
+    meta_text = (fit / "metadata.json").read_text()
+    meta = json.loads(meta_text)
+    no_key = {k: v for k, v in meta.items() if k != "file_digests"}
+    wrong_type = dict(meta, config="n_chains=2")
+    for name, text in (("truncated", meta_text[: len(meta_text) // 2]),
+                       ("missing_key", json.dumps(no_key)),
+                       ("wrong_type", json.dumps(wrong_type))):
+        bad = tmp_path / name
+        bad.mkdir()
+        for p in fit.iterdir():
+            (bad / p.name).write_bytes(p.read_bytes())
+        (bad / "metadata.json").write_text(text)
+        capsys.readouterr()
+        rc = cli.main(["diagnose", "--draws", str(bad),
+                       "--out", str(tmp_path / ("d_" + name))])
+        assert rc == 1, name
+        assert capsys.readouterr().err.startswith("error: "), name
+
 
 # ------------------------------------------------------------------ report
 
 def zero_slope_draws(data_path, out_dir, n=40):
     """Stored draws whose slope columns are all zero, tied to data_path."""
     records, _ = load_csv(data_path)
-    index = build_factor_index(records)
+    index = records.index
     names = natural_param_names(index)
     rng = np.random.default_rng(0)
     mat = np.zeros((n, len(names)))
@@ -258,7 +276,7 @@ def test_compare_writes_table(sim_and_fit, tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["job_geo", "n", "hlm_effect", "lm_effect", "lm_se"]
     records, _ = load_csv(sim / "data.csv")
-    index = build_factor_index(records)
+    index = records.index
     assert len(rows) == 1 + index.n_job_geo
     sizes = [int(r[1]) for r in rows[1:]]
     assert sizes == sorted(sizes)
@@ -271,7 +289,7 @@ def test_compare_single_gender_groups_have_empty_lm_cells(sim_and_fit, tmp_path)
                    "--data", str(sim / "data.csv"), "--out", str(out)])
     assert rc == 0
     records, _ = load_csv(sim / "data.csv")
-    index = build_factor_index(records)
+    index = records.index
     variant = index.gender_variant()
     labels_invariant = {index.job_geo_label(j) for j in range(index.n_job_geo)
                         if not variant[j]}

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from payequity.errors import (ConfigError, ContractViolation, IntegrityError)
-from payequity.factors import build_factor_index
 from payequity.hmc import (ChainState, DualAveraging, PosteriorDraws,
                            SamplerConfig, AcceptStats, _window_boundaries,
                            adapt_warmup, find_initial_step, hmc_transition,
@@ -204,8 +203,7 @@ def small_workforce(seed=9):
                       group_size_law=GroupSizeLaw(exponent=0.0, max_size=8),
                       residual_scale=0.25, seed=seed)
     records, _ = generate_synthetic(cfg)
-    index = build_factor_index(records)
-    return records, index
+    return records, records.index
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +211,7 @@ def small_run():
     records, index = small_workforce()
     config = SamplerConfig(n_chains=2, n_warmup=150, n_samples=100,
                            leapfrog_steps=16, base_seed=123)
-    draws = run_chains(records, index, ModelSpec(), config,
+    draws = run_chains(records, ModelSpec(), config,
                        data_digest="abc123")
     return records, index, config, draws
 
@@ -236,7 +234,7 @@ def test_run_chains_shapes_and_metadata(small_run):
 
 def test_run_chains_deterministic(small_run):
     records, index, config, draws = small_run
-    again = run_chains(records, index, ModelSpec(), config,
+    again = run_chains(records, ModelSpec(), config,
                        data_digest="abc123")
     for a, b in zip(draws.chains, again.chains):
         np.testing.assert_array_equal(a, b)
@@ -245,7 +243,7 @@ def test_run_chains_deterministic(small_run):
 
 def test_run_chains_seed_changes_output(small_run):
     records, index, config, draws = small_run
-    other = run_chains(records, index, ModelSpec(),
+    other = run_chains(records, ModelSpec(),
                        SamplerConfig(n_chains=2, n_warmup=150, n_samples=100,
                                      leapfrog_steps=16, base_seed=124))
     assert not np.array_equal(draws.chains[0], other.chains[0])

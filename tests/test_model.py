@@ -5,12 +5,13 @@ import pytest
 import scipy.stats
 
 from payequity.errors import ConfigError, ContractViolation, NumericOverflowError
-from payequity.factors import build_factor_index
-from payequity.model import (HierarchicalModel, ModelSpec, build_layout,
-                             natural_param_names, predict_log_salary,
-                             to_natural)
+from payequity.model import (HierarchicalModel, ModelSpec, _linear_predictor,
+                             build_layout, natural_param_names)
+from payequity.records import Workforce
 from payequity.synthetic import (GroupSizeLaw, PopulationTruth, SynthConfig,
                                  generate_synthetic)
+
+from test_records import take
 
 
 def tiny_fixture(n_records=10, seed=7):
@@ -21,9 +22,8 @@ def tiny_fixture(n_records=10, seed=7):
         true_hyperparams=PopulationTruth(mu0_g=0.0),
         seed=seed)
     records, _ = generate_synthetic(cfg)
-    records = records[:n_records]
-    index = build_factor_index(records)
-    return records, index
+    records = take(records, range(min(n_records, records.n)))
+    return records, records.index
 
 
 def state_at_prior_scale(layout, spec, rng):
@@ -74,17 +74,19 @@ def oracle_log_posterior(v, model):
     beta0_j = mu0j + math.exp(ls0j) * z0j
     beta1_j = mu1j + math.exp(ls1j) * z1j
     sigma = math.exp(ls_res)
-    eta = (beta0_g[model.g_of] + beta0_j[model.j_of]
-           + model.female * (beta1_g[model.g_of] + beta1_j[model.j_of])
-           + b2 * model.recent + b3 * model.past + b4 * model.tenure)
-    total += norm.logpdf(model.y, loc=eta, scale=sigma).sum()
+    wf = model.wf
+    g_of, j_of = wf.index.g_of, wf.index.j_of
+    eta = (beta0_g[g_of] + beta0_j[j_of]
+           + wf.female * (beta1_g[g_of] + beta1_j[j_of])
+           + b2 * wf.recent + b3 * wf.past + b4 * wf.tenure)
+    total += norm.logpdf(wf.log_salary, loc=eta, scale=sigma).sum()
     return total
 
 
 @pytest.fixture(scope="module")
 def tiny_model():
-    records, index = tiny_fixture()
-    return HierarchicalModel(records, index, ModelSpec())
+    records, _ = tiny_fixture()
+    return HierarchicalModel(records, ModelSpec())
 
 
 def test_log_posterior_matches_scipy_oracle(tiny_model):
@@ -124,12 +126,12 @@ def test_logp_and_grad_agrees_with_separate_calls(tiny_model):
 
 def test_record_permutation_leaves_density_unchanged():
     records, index = tiny_fixture()
-    model_a = HierarchicalModel(records, index, ModelSpec())
+    model_a = HierarchicalModel(records, ModelSpec())
     rng = np.random.default_rng(3)
-    perm = rng.permutation(len(records))
-    shuffled = [records[i] for i in perm]
-    index_b = build_factor_index(shuffled)
-    model_b = HierarchicalModel(shuffled, index_b, ModelSpec())
+    perm = rng.permutation(records.n)
+    shuffled = take(records, perm)
+    index_b = shuffled.index
+    model_b = HierarchicalModel(shuffled, ModelSpec())
     # indices may be numbered differently; compare through natural names
     names_a = natural_param_names(index)
     names_b = natural_param_names(index_b)
@@ -178,8 +180,9 @@ def test_overflow_attributed_to_offending_block(tiny_model):
     v[tiny_model.layout.hyper_log_sigma][:] = [800.0, 0.0, 0.0, 0.0]
     # direct write through a slice view
     v[tiny_model.layout.hyper_log_sigma.start] = 800.0
-    with pytest.raises(NumericOverflowError):
+    with pytest.raises(NumericOverflowError) as exc:
         tiny_model.log_posterior(v)
+    assert exc.value.block == "hyper_log_sigma"
 
 
 def test_nonfinite_state_rejected(tiny_model):
@@ -192,24 +195,36 @@ def test_nonfinite_state_rejected(tiny_model):
     assert np.all(g == 0.0)
 
 
-def test_to_natural_independent_reconstruction():
-    records, index = tiny_fixture()
-    layout = build_layout(index)
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(layout.dim)
-    nat = to_natural(v, layout)
-    G, J = layout.G, layout.J
-    # reconstruct by hand from the raw vector
+def natural_by_hand(v, G, J):
+    """Natural-scale blocks reconstructed from the raw vector by offset."""
     z0g = v[:G]; z1g = v[G:2*G]; z0j = v[2*G:2*G+J]; z1j = v[2*G+J:2*G+2*J]
     mu = v[2*G+2*J:2*G+2*J+4]
     ls = v[2*G+2*J+4:2*G+2*J+8]
-    np.testing.assert_allclose(nat.beta0_g, mu[0] + np.exp(ls[0]) * z0g)
-    np.testing.assert_allclose(nat.beta1_g, mu[1] + np.exp(ls[1]) * z1g)
-    np.testing.assert_allclose(nat.beta0_j, mu[2] + np.exp(ls[2]) * z0j)
-    np.testing.assert_allclose(nat.beta1_j, mu[3] + np.exp(ls[3]) * z1j)
-    assert nat.sigma0_g == pytest.approx(math.exp(ls[0]))
-    assert nat.sigma_resid == pytest.approx(math.exp(v[-1]))
-    assert nat.beta2 == pytest.approx(v[2*G+2*J+8])
+    return {
+        "beta0_g": mu[0] + np.exp(ls[0]) * z0g,
+        "beta1_g": mu[1] + np.exp(ls[1]) * z1g,
+        "beta0_j": mu[2] + np.exp(ls[2]) * z0j,
+        "beta1_j": mu[3] + np.exp(ls[3]) * z1j,
+        "sigma0_g": math.exp(ls[0]),
+        "beta2": v[2*G+2*J+8],
+        "sigma_resid": math.exp(v[-1]),
+    }
+
+
+def test_to_natural_independent_reconstruction(tiny_model):
+    layout = tiny_model.layout
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(layout.dim)
+    nat = tiny_model.to_natural_matrix(v[None, :])[0]
+    G, J = layout.G, layout.J
+    hand = natural_by_hand(v, G, J)
+    np.testing.assert_allclose(nat[:G], hand["beta0_g"])
+    np.testing.assert_allclose(nat[G:2*G], hand["beta1_g"])
+    np.testing.assert_allclose(nat[2*G:2*G+J], hand["beta0_j"])
+    np.testing.assert_allclose(nat[2*G+J:2*G+2*J], hand["beta1_j"])
+    assert nat[2*G+2*J+4] == pytest.approx(hand["sigma0_g"])
+    assert nat[-1] == pytest.approx(hand["sigma_resid"])
+    assert nat[2*G+2*J+8] == pytest.approx(hand["beta2"])
 
 
 def test_to_natural_matrix_matches_scalar_path(tiny_model):
@@ -219,31 +234,33 @@ def test_to_natural_matrix_matches_scalar_path(tiny_model):
     names = natural_param_names(tiny_model.index)
     assert mat.shape == (8, len(names))
     for row in range(8):
-        nat = to_natural(draws[row], tiny_model.layout)
         G, J = tiny_model.layout.G, tiny_model.layout.J
-        np.testing.assert_allclose(mat[row, :G], nat.beta0_g)
-        np.testing.assert_allclose(mat[row, 2*G:2*G+J], nat.beta0_j)
-        assert mat[row, names.index("sigma_resid")] == pytest.approx(nat.sigma_resid)
+        hand = natural_by_hand(draws[row], G, J)
+        np.testing.assert_allclose(mat[row, :G], hand["beta0_g"])
+        np.testing.assert_allclose(mat[row, 2*G:2*G+J], hand["beta0_j"])
+        assert mat[row, names.index("sigma_resid")] == pytest.approx(hand["sigma_resid"])
 
 
 def test_predict_log_salary_hand_case():
     records, index = tiny_fixture(n_records=1)
     layout = build_layout(index)
-    v = np.zeros(layout.dim)
-    v[layout.hyper_mu] = [10.0, 0.5, 1.0, -0.25]
-    v[layout.fixed] = [0.1, 0.2, 0.3]
-    nat = to_natural(v, layout)
-    w = records[0]
-    eta_f = predict_log_salary(nat, w, index.g_of[0], index.j_of[0],
-                               female_override=True)
-    eta_m = predict_log_salary(nat, w, index.g_of[0], index.j_of[0],
-                               female_override=False)
-    base = (10.0 + 1.0 + 0.1 * w.recent_perf + 0.2 * w.past_perf
-            + 0.3 * w.time_in_job)
+    beta0_g, beta1_g = np.full(layout.G, 10.0), np.full(layout.G, 0.5)
+    beta0_j, beta1_j = np.full(layout.J, 1.0), np.full(layout.J, -0.25)
+    fixed = np.array([0.1, 0.2, 0.3])
+    eta_f = _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, records, 1.0)[0]
+    eta_m = _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, records, 0.0)[0]
+    base = (10.0 + 1.0 + 0.1 * records.recent[0] + 0.2 * records.past[0]
+            + 0.3 * records.tenure[0])
     assert eta_m == pytest.approx(base, rel=1e-12)
     assert eta_f == pytest.approx(base + 0.5 - 0.25, rel=1e-12)
-    with pytest.raises(ContractViolation):
-        predict_log_salary(nat, w, layout.G + 5, 0)
+    # one row per draw gives one prediction per draw and worker
+    stacked = _linear_predictor(*(np.stack([x, x]) for x in
+                                  (beta0_g, beta1_g, beta0_j, beta1_j, fixed)),
+                                records, 1.0)
+    assert stacked.shape == (2, records.n) and stacked[1, 0] == eta_f
+    # effects too short for the workforce's group indices are rejected
+    with pytest.raises(IndexError):
+        _linear_predictor(beta0_g[:0], beta1_g, beta0_j, beta1_j, fixed, records, 1.0)
 
 
 def test_natural_param_names_layout():
@@ -290,6 +307,10 @@ def test_model_spec_validation():
 
 
 def test_mismatched_index_rejected():
-    records, index = tiny_fixture()
+    # columns of different lengths cannot make a Workforce, so a model
+    # can never see an index that disagrees with its data
+    records, _ = tiny_fixture()
     with pytest.raises(ContractViolation):
-        HierarchicalModel(records[:-1], index, ModelSpec())
+        Workforce.from_columns(records.worker_id, records.geo, records.gjs, records.job,
+                               records.female, records.recent, records.past,
+                               records.tenure, records.salary[:-1])

@@ -1,12 +1,14 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from payequity.errors import EmptyDatasetError, SchemaError
-from payequity.records import (REQUIRED_COLUMNS, WorkerRecord, load_csv,
-                               write_csv)
+from payequity.records import REQUIRED_COLUMNS, Workforce, load_csv, write_csv
 
 HEADER = ",".join(REQUIRED_COLUMNS)
+FIELDS = ("worker_id", "geo", "gjs", "job", "female", "recent_perf", "past_perf",
+          "time_in_job", "salary")
 
 
 def make_record(i=0, **overrides):
@@ -23,7 +25,19 @@ def make_record(i=0, **overrides):
     )
     fields.update(overrides)
     fields["log_salary"] = math.log(fields["salary"])
-    return WorkerRecord(**fields)
+    return SimpleNamespace(**fields)
+
+
+def workforce(rows):
+    """A Workforce holding the make_record rows, in order."""
+    return Workforce.from_columns(*([getattr(r, f) for r in rows] for f in FIELDS))
+
+
+def take(wf, rows):
+    """A Workforce of wf's workers at positions rows, in that order."""
+    columns = ("worker_id", "geo", "gjs", "job", "female", "recent", "past", "tenure",
+               "salary", "log_salary")
+    return Workforce.from_columns(*([getattr(wf, c)[i] for i in rows] for c in columns))
 
 
 def write_lines(path, rows):
@@ -35,7 +49,7 @@ def good_row(wid="w1", salary="100000"):
 
 
 def test_roundtrip_preserves_every_field(tmp_path):
-    records = [make_record(i) for i in range(7)]
+    records = workforce([make_record(i) for i in range(7)])
     path = tmp_path / "data.csv"
     write_csv(records, path)
     loaded, excluded = load_csv(path)
@@ -47,7 +61,7 @@ def test_log_salary_computed_not_read(tmp_path):
     path = tmp_path / "data.csv"
     write_lines(path, [good_row(salary="100000")])
     records, _ = load_csv(path)
-    assert records[0].log_salary == pytest.approx(math.log(100000.0), abs=1e-12)
+    assert records.log_salary[0] == pytest.approx(math.log(100000.0), abs=1e-12)
 
 
 def test_missing_column_raises_schema_error(tmp_path):
@@ -69,7 +83,7 @@ def test_invalid_rows_excluded_with_reason(tmp_path):
         "w6,,E3,job0,1,0.5,-0.3,2.0,100",           # missing field
     ])
     records, excluded = load_csv(path)
-    assert [r.worker_id for r in records] == ["w1"]
+    assert list(records.worker_id) == ["w1"]
     reasons = {e.worker_id: e.reason for e in excluded.rows}
     assert reasons["w2"] == "NONPOSITIVE_SALARY"
     assert reasons["w3"] == "INVALID_FEMALE"
@@ -93,7 +107,7 @@ def test_nonfinite_numbers_rejected(tmp_path):
         "w3,geo0,E3,job0,1,0.5,nan,2.0,100",
     ])
     records, excluded = load_csv(path)
-    assert len(records) == 1
+    assert records.n == 1
     assert all(e.reason == "INVALID_NUMBER" for e in excluded.rows)
 
 
@@ -105,7 +119,7 @@ def test_female_flag_accepts_text_and_numeric_forms(tmp_path):
         "w3,geo0,E3,job0,0,0.5,-0.3,2.0,100",
     ])
     records, _ = load_csv(path)
-    assert [r.female for r in records] == [True, False, False]
+    assert records.female.tolist() == [True, False, False]
 
 
 def test_exclusion_log_csv(tmp_path):

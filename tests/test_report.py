@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from payequity.errors import ContractViolation
-from payequity.factors import build_factor_index
-from payequity.report import (GapReport, PredictionPair,
+from payequity.report import (GapReport, Predictions,
                               adjusted_cents_to_dollar, build_gap_report,
                               counterfactual_predictions, fit_metrics,
                               format_report_text, group_gap_summaries,
                               raise_recommendations, report_to_json,
                               write_group_csv, write_report_json)
 
-from test_records import make_record
+from test_records import make_record, workforce
 
 
 class FakeDraws:
@@ -46,8 +45,8 @@ def natural_row(G, J, beta0_g=None, beta1_g=None, beta0_j=None, beta1_j=None,
     return row
 
 
-def two_group_data():
-    records = [
+def two_group_rows():
+    return [
         make_record(0, gjs="E3", job="jobA", female=True,
                     recent_perf=0.5, past_perf=-0.2, time_in_job=2.0),
         make_record(1, gjs="E3", job="jobA", female=False,
@@ -55,10 +54,20 @@ def two_group_data():
         make_record(2, gjs="E3", job="jobB", female=True,
                     recent_perf=0.0, past_perf=0.0, time_in_job=0.5),
     ]
-    return records, build_factor_index(records)
+
+
+def two_group_data():
+    records = workforce(two_group_rows())
+    return records, records.index
 
 
 # ------------------------------------------------ counterfactual predictions
+
+def factual_and_counterfactual(pred, wf):
+    """Each worker's prediction at their own gender and at the other."""
+    return (np.where(wf.female, pred.y_hat_female, pred.y_hat_male),
+            np.where(wf.female, pred.y_hat_male, pred.y_hat_female))
+
 
 def test_single_draw_hand_computed_predictions():
     records, index = two_group_data()
@@ -67,17 +76,18 @@ def test_single_draw_hand_computed_predictions():
                       beta0_j=[0.3, -0.2], beta1_j=[0.02, 0.0],
                       beta2=0.1, beta3=0.2, beta4=0.01)
     draws = FakeDraws(G, J, [row])
-    pairs = counterfactual_predictions(draws, records, index)
-    w = records[0]  # female, jobA
+    pred = counterfactual_predictions(draws, records)
+    w = two_group_rows()[0]  # female, jobA
     eta_m = 10.0 + 0.3 + 0.1 * w.recent_perf + 0.2 * w.past_perf + 0.01 * w.time_in_job
     eta_f = eta_m + (-0.05 + 0.02)
-    assert pairs[0].y_hat_female == pytest.approx(math.exp(eta_f), rel=1e-12)
-    assert pairs[0].y_hat_male == pytest.approx(math.exp(eta_m), rel=1e-12)
-    assert pairs[0].factual_mean_usd == pairs[0].y_hat_female
-    assert pairs[0].counterfactual_mean_usd == pairs[0].y_hat_male
+    assert pred.y_hat_female[0] == pytest.approx(math.exp(eta_f), rel=1e-12)
+    assert pred.y_hat_male[0] == pytest.approx(math.exp(eta_m), rel=1e-12)
+    factual, counter = factual_and_counterfactual(pred, records)
+    assert factual[0] == pred.y_hat_female[0]
+    assert counter[0] == pred.y_hat_male[0]
     # male worker: factual is the male-gendered prediction
-    assert pairs[1].y_hat_male == pairs[1].factual_mean_usd
-    assert pairs[1].y_hat_female == pairs[1].counterfactual_mean_usd
+    assert pred.y_hat_male[1] == factual[1]
+    assert pred.y_hat_female[1] == counter[1]
 
 
 def test_zero_slopes_make_factual_equal_counterfactual():
@@ -85,9 +95,9 @@ def test_zero_slopes_make_factual_equal_counterfactual():
     G, J = index.n_gjs_geo, index.n_job_geo
     rows = [natural_row(G, J, beta0_g=[10.0], beta0_j=[0.1, 0.2], beta2=0.3),
             natural_row(G, J, beta0_g=[9.5], beta0_j=[0.0, 0.4], beta2=-0.1)]
-    pairs = counterfactual_predictions(FakeDraws(G, J, rows), records, index)
-    for p in pairs:
-        assert p.factual_mean_usd == pytest.approx(p.counterfactual_mean_usd, rel=1e-14)
+    pred = counterfactual_predictions(FakeDraws(G, J, rows), records)
+    for factual, counter in zip(*factual_and_counterfactual(pred, records)):
+        assert factual == pytest.approx(counter, rel=1e-14)
 
 
 def test_mean_over_draws_is_mean_of_exponentials():
@@ -95,9 +105,9 @@ def test_mean_over_draws_is_mean_of_exponentials():
     G, J = index.n_gjs_geo, index.n_job_geo
     rows = [natural_row(G, J, beta0_g=[10.0], beta0_j=[0.0, 0.0]),
             natural_row(G, J, beta0_g=[11.0], beta0_j=[0.0, 0.0])]
-    pairs = counterfactual_predictions(FakeDraws(G, J, rows), records, index)
+    pred = counterfactual_predictions(FakeDraws(G, J, rows), records)
     expected = 0.5 * (math.exp(10.0) + math.exp(11.0))
-    assert pairs[1].y_hat_male == pytest.approx(expected, rel=1e-12)
+    assert pred.y_hat_male[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_dimension_mismatch_rejected():
@@ -105,53 +115,60 @@ def test_dimension_mismatch_rejected():
     draws = FakeDraws(index.n_gjs_geo + 1, index.n_job_geo,
                       [natural_row(index.n_gjs_geo + 1, index.n_job_geo)])
     with pytest.raises(ContractViolation):
-        counterfactual_predictions(draws, records, index)
+        counterfactual_predictions(draws, records)
 
 
 # --------------------------------------------------------------------- Eq 1
 
 def pair(wid, factual, counter, female):
-    f, m = (factual, counter) if female else (counter, factual)
-    return PredictionPair(worker_id=wid, factual_mean_usd=factual,
-                          counterfactual_mean_usd=counter,
-                          y_hat_female=f, y_hat_male=m)
+    return (wid, factual, counter, female)
+
+
+def predictions(pairs):
+    """Predictions from (worker_id, factual, counterfactual, female) rows."""
+    female = np.array([p[3] for p in pairs], dtype=bool)
+    factual = np.array([p[1] for p in pairs], dtype=float)
+    counter = np.array([p[2] for p in pairs], dtype=float)
+    return Predictions(worker_id=tuple(p[0] for p in pairs),
+                       y_hat_female=np.where(female, factual, counter),
+                       y_hat_male=np.where(female, counter, factual),
+                       mean_log=np.zeros(len(pairs)))
 
 
 def test_cents_symmetric_model_is_exactly_one():
     pairs = [pair("w1", 100.0, 100.0, True), pair("w2", 88.0, 88.0, False)]
-    assert abs(adjusted_cents_to_dollar(pairs) - 1.0) < 1e-12
+    assert abs(adjusted_cents_to_dollar(predictions(pairs)) - 1.0) < 1e-12
 
 
 def test_cents_two_worker_hand_case():
     pairs = [pair("f", 100.0, 110.0, True), pair("m", 110.0, 100.0, False)]
-    assert abs(adjusted_cents_to_dollar(pairs) - 10.0 / 11.0) < 1e-12
+    assert abs(adjusted_cents_to_dollar(predictions(pairs)) - 10.0 / 11.0) < 1e-12
 
 
 def test_cents_duplication_invariance():
     pairs = [pair("f", 100.0, 110.0, True), pair("m", 120.0, 105.0, False)]
-    r1 = adjusted_cents_to_dollar(pairs)
-    r2 = adjusted_cents_to_dollar(pairs * 3)
+    r1 = adjusted_cents_to_dollar(predictions(pairs))
+    r2 = adjusted_cents_to_dollar(predictions(pairs * 3))
     assert abs(r1 - r2) < 1e-12
 
 
 def test_cents_reorder_invariance():
     pairs = [pair("a", 100.0, 110.0, True), pair("b", 120.0, 105.0, False),
              pair("c", 90.0, 95.0, True)]
-    assert abs(adjusted_cents_to_dollar(pairs)
-               - adjusted_cents_to_dollar(pairs[::-1])) < 1e-12
+    assert abs(adjusted_cents_to_dollar(predictions(pairs))
+               - adjusted_cents_to_dollar(predictions(pairs[::-1]))) < 1e-12
 
 
 def test_cents_empty_list_rejected():
     with pytest.raises(ContractViolation):
-        adjusted_cents_to_dollar([])
+        adjusted_cents_to_dollar(predictions([]))
 
 
 def test_gender_flip_involution_on_pairs():
-    pairs = [pair("a", 100.0, 110.0, True), pair("b", 120.0, 105.0, False)]
-    flipped = [PredictionPair(p.worker_id, p.counterfactual_mean_usd,
-                              p.factual_mean_usd, p.y_hat_male, p.y_hat_female)
-               for p in pairs]
-    r = adjusted_cents_to_dollar(pairs)
+    pred = predictions([pair("a", 100.0, 110.0, True), pair("b", 120.0, 105.0, False)])
+    flipped = Predictions(pred.worker_id, pred.y_hat_male, pred.y_hat_female,
+                          pred.mean_log)
+    r = adjusted_cents_to_dollar(pred)
     r_flip = adjusted_cents_to_dollar(flipped)
     assert abs(r * r_flip - 1.0) < 1e-12
 
@@ -171,27 +188,24 @@ def test_gender_flip_involution_through_full_pipeline():
             beta0_j=rng.normal(0, 0.3, J), beta1_j=rng.normal(0, 0.05, J),
             beta2=0.05, beta3=0.02, beta4=0.001))
     mat = np.array(rows)
-    pairs = counterfactual_predictions(FakeDraws(G, J, mat), records, index)
+    pairs = counterfactual_predictions(FakeDraws(G, J, mat), records)
 
-    flipped_records = [make_record(i, gjs=r.gjs, geo=r.geo, job=r.job,
-                                   female=not r.female,
-                                   recent_perf=r.recent_perf,
-                                   past_perf=r.past_perf,
-                                   time_in_job=r.time_in_job,
-                                   salary=r.salary)
-                       for i, r in enumerate(records)]
-    flipped_index = build_factor_index(flipped_records)
+    flipped_records = workforce([make_record(i, gjs=r.gjs, geo=r.geo, job=r.job,
+                                             female=not r.female,
+                                             recent_perf=r.recent_perf,
+                                             past_perf=r.past_perf,
+                                             time_in_job=r.time_in_job,
+                                             salary=r.salary)
+                                 for i, r in enumerate(two_group_rows())])
     flipped = mat.copy()
     flipped[:, :G] = mat[:, :G] + mat[:, G:2 * G]                  # intercepts
     flipped[:, G:2 * G] = -mat[:, G:2 * G]                         # slopes
     flipped[:, 2 * G:2 * G + J] = mat[:, 2 * G:2 * G + J] + mat[:, 2 * G + J:2 * G + 2 * J]
     flipped[:, 2 * G + J:2 * G + 2 * J] = -mat[:, 2 * G + J:2 * G + 2 * J]
-    pairs_flipped = counterfactual_predictions(
-        FakeDraws(G, J, flipped), flipped_records, flipped_index)
+    pairs_flipped = counterfactual_predictions(FakeDraws(G, J, flipped), flipped_records)
 
-    for p, q in zip(pairs, pairs_flipped):
-        assert q.y_hat_female == pytest.approx(p.y_hat_male, rel=1e-12)
-        assert q.y_hat_male == pytest.approx(p.y_hat_female, rel=1e-12)
+    np.testing.assert_allclose(pairs_flipped.y_hat_female, pairs.y_hat_male, rtol=1e-12)
+    np.testing.assert_allclose(pairs_flipped.y_hat_male, pairs.y_hat_female, rtol=1e-12)
     r = adjusted_cents_to_dollar(pairs)
     r_flip = adjusted_cents_to_dollar(pairs_flipped)
     assert abs(r * r_flip - 1.0) < 1e-12
@@ -204,7 +218,7 @@ def test_degenerate_draws_give_point_interval():
     G, J = index.n_gjs_geo, index.n_job_geo
     rows = [natural_row(G, J, beta1_g=[-0.05], beta1_j=[0.0, 0.0])
             for _ in range(4)]
-    summaries = group_gap_summaries(FakeDraws(G, J, rows), index)
+    summaries = group_gap_summaries(FakeDraws(G, J, rows), records)
     s = summaries[0]
     assert s.effect_mean == pytest.approx(-0.05)
     assert s.ci_low == pytest.approx(-0.05)
@@ -216,7 +230,7 @@ def test_zero_effect_draws_not_significant():
     records, index = two_group_data()
     G, J = index.n_gjs_geo, index.n_job_geo
     rows = [natural_row(G, J) for _ in range(4)]
-    summaries = group_gap_summaries(FakeDraws(G, J, rows), index)
+    summaries = group_gap_summaries(FakeDraws(G, J, rows), records)
     assert all(not s.significant for s in summaries)
     assert all(s.effect_mean == 0.0 for s in summaries)
 
@@ -225,7 +239,7 @@ def test_every_group_summarized_including_singletons():
     records, index = two_group_data()  # jobB holds a single female worker
     G, J = index.n_gjs_geo, index.n_job_geo
     rows = [natural_row(G, J) for _ in range(3)]
-    summaries = group_gap_summaries(FakeDraws(G, J, rows), index)
+    summaries = group_gap_summaries(FakeDraws(G, J, rows), records)
     assert len(summaries) == J
     assert sorted(s.job_geo for s in summaries) == list(range(J))
     singleton = next(s for s in summaries if s.n_workers == 1)
@@ -236,7 +250,7 @@ def test_summary_counts_match_index():
     records, index = two_group_data()
     G, J = index.n_gjs_geo, index.n_job_geo
     rows = [natural_row(G, J) for _ in range(2)]
-    summaries = group_gap_summaries(FakeDraws(G, J, rows), index)
+    summaries = group_gap_summaries(FakeDraws(G, J, rows), records)
     by_label = {s.label: s for s in summaries}
     assert by_label["jobA|geo0"].n_workers == 2
     assert by_label["jobA|geo0"].n_female == 1
@@ -248,7 +262,7 @@ def test_interval_mass_validated():
     G, J = index.n_gjs_geo, index.n_job_geo
     draws = FakeDraws(G, J, [natural_row(G, J)])
     with pytest.raises(ContractViolation):
-        group_gap_summaries(draws, index, interval_mass=1.0)
+        group_gap_summaries(draws, records, interval_mass=1.0)
 
 
 def test_dollar_gaps_from_pairs():
@@ -257,11 +271,11 @@ def test_dollar_gaps_from_pairs():
     rows = [natural_row(G, J, beta0_g=[10.0], beta1_g=[-0.1])
             for _ in range(3)]
     draws = FakeDraws(G, J, rows)
-    pairs = counterfactual_predictions(draws, records, index)
-    summaries = group_gap_summaries(draws, index, pairs=pairs, data=records)
+    pred = counterfactual_predictions(draws, records)
+    summaries = group_gap_summaries(draws, records, predictions=pred)
     for s in summaries:
-        member_gaps = [pairs[i].y_hat_male - pairs[i].y_hat_female
-                       for i in range(len(records)) if index.j_of[i] == s.job_geo]
+        member_gaps = [pred.y_hat_male[i] - pred.y_hat_female[i]
+                       for i in range(records.n) if index.j_of[i] == s.job_geo]
         assert s.median_gap_usd == pytest.approx(np.median(member_gaps))
         assert s.mean_gap_usd == pytest.approx(np.mean(member_gaps))
         assert s.median_gap_usd > 0  # women predicted lower here
@@ -280,44 +294,44 @@ def make_summary(job_geo, effect_mean, significant, label="jobA|geo0"):
 
 def test_no_significant_groups_no_raises():
     records, index = two_group_data()
-    pairs = [pair("w%03d" % i, 100.0, 90.0, r.female)
-             for i, r in enumerate(records)]
+    pairs = predictions([pair("w%03d" % i, 100.0, 90.0, female)
+                         for i, female in enumerate(records.female)])
     summaries = [make_summary(j, -0.05, False) for j in range(index.n_job_geo)]
-    assert raise_recommendations(pairs, summaries, records, index) == []
+    assert raise_recommendations(pairs, summaries, records) == []
 
 
 def test_disadvantaged_female_gets_prediction_difference():
     records, index = two_group_data()
     # worker 0 female in jobA: y_f 100, y_m 110
-    pairs = [pair("w000", 100.0, 110.0, True),
-             pair("w001", 110.0, 100.0, False),
-             pair("w002", 100.0, 100.0, True)]
+    pairs = predictions([pair("w000", 100.0, 110.0, True),
+                         pair("w001", 110.0, 100.0, False),
+                         pair("w002", 100.0, 100.0, True)])
     summaries = [make_summary(0, -0.08, True),
                  make_summary(1, -0.08, False, label="jobB|geo0")]
-    raises = raise_recommendations(pairs, summaries, records, index)
+    raises = raise_recommendations(pairs, summaries, records)
     assert raises == [("w000", pytest.approx(10.0))]
 
 
 def test_significant_positive_effect_mirrors_to_male():
     records, index = two_group_data()
-    pairs = [pair("w000", 110.0, 100.0, True),
-             pair("w001", 100.0, 110.0, False),   # male, disadvantaged
-             pair("w002", 110.0, 100.0, True)]
+    pairs = predictions([pair("w000", 110.0, 100.0, True),
+                         pair("w001", 100.0, 110.0, False),   # male, disadvantaged
+                         pair("w002", 110.0, 100.0, True)])
     summaries = [make_summary(0, 0.08, True),
                  make_summary(1, 0.0, False, label="jobB|geo0")]
-    raises = raise_recommendations(pairs, summaries, records, index)
+    raises = raise_recommendations(pairs, summaries, records)
     assert raises == [("w001", pytest.approx(10.0))]
 
 
 def test_raises_are_never_negative():
     records, index = two_group_data()
     # female in a significant-negative group but predicted HIGHER
-    pairs = [pair("w000", 120.0, 110.0, True),
-             pair("w001", 110.0, 100.0, False),
-             pair("w002", 100.0, 100.0, True)]
+    pairs = predictions([pair("w000", 120.0, 110.0, True),
+                         pair("w001", 110.0, 100.0, False),
+                         pair("w002", 100.0, 100.0, True)])
     summaries = [make_summary(0, -0.08, True),
                  make_summary(1, -0.08, False, label="jobB|geo0")]
-    raises = raise_recommendations(pairs, summaries, records, index)
+    raises = raise_recommendations(pairs, summaries, records)
     assert raises == []  # max(0, 110 - 120) = 0, omitted
 
 
@@ -328,10 +342,10 @@ def test_perfect_predictions_give_r2_one():
     records = [make_record(i, job="jobA", female=False, recent_perf=x,
                            past_perf=0.0, time_in_job=0.0, salary=math.exp(x))
                for i, x in enumerate(xs)]
-    index = build_factor_index(records)
-    G, J = index.n_gjs_geo, index.n_job_geo
+    records = workforce(records)
+    G, J = records.index.n_gjs_geo, records.index.n_job_geo
     rows = [natural_row(G, J, beta2=1.0)]
-    r2, rmse = fit_metrics(FakeDraws(G, J, rows), records, index)
+    r2, rmse = fit_metrics(records, counterfactual_predictions(FakeDraws(G, J, rows), records))
     assert r2 == pytest.approx(1.0, abs=1e-12)
     assert rmse == pytest.approx(0.0, abs=1e-12)
 
@@ -341,21 +355,21 @@ def test_constant_prediction_at_mean_gives_r2_zero():
     records = [make_record(i, job="jobA", female=False, recent_perf=0.0,
                            past_perf=0.0, time_in_job=0.0, salary=s)
                for i, s in enumerate(salaries)]
-    index = build_factor_index(records)
-    G, J = index.n_gjs_geo, index.n_job_geo
-    mean_log = float(np.mean([r.log_salary for r in records]))
+    records = workforce(records)
+    G, J = records.index.n_gjs_geo, records.index.n_job_geo
+    mean_log = float(np.mean(records.log_salary))
     rows = [natural_row(G, J, beta0_j=[mean_log])]
-    r2, rmse = fit_metrics(FakeDraws(G, J, rows), records, index)
+    r2, rmse = fit_metrics(records, counterfactual_predictions(FakeDraws(G, J, rows), records))
     assert r2 == pytest.approx(0.0, abs=1e-12)
-    assert rmse == pytest.approx(np.std([r.log_salary for r in records]), rel=1e-10)
+    assert rmse == pytest.approx(np.std(records.log_salary), rel=1e-10)
 
 
 def test_constant_observations_rejected():
-    records = [make_record(i, job="jobA", salary=50000.0) for i in range(3)]
-    index = build_factor_index(records)
-    G, J = index.n_gjs_geo, index.n_job_geo
+    records = workforce([make_record(i, job="jobA", salary=50000.0) for i in range(3)])
+    G, J = records.index.n_gjs_geo, records.index.n_job_geo
+    pred = counterfactual_predictions(FakeDraws(G, J, [natural_row(G, J)]), records)
     with pytest.raises(ContractViolation):
-        fit_metrics(FakeDraws(G, J, [natural_row(G, J)]), records, index)
+        fit_metrics(records, pred)
 
 
 # ------------------------------------------------------------ serialization
@@ -368,7 +382,7 @@ def full_report_fixture():
                         beta1_g=[-0.1], beta0_j=rng.normal(0, 0.1, J))
             for _ in range(30)]
     draws = FakeDraws(G, J, rows)
-    return build_gap_report(draws, records, index), records, index
+    return build_gap_report(draws, records), records, index
 
 
 def test_report_assembles_all_sections():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from payequity.errors import ConfigError
-from payequity.factors import build_factor_index
 from payequity.synthetic import (GroundTruth, GroupSizeLaw, SynthConfig,
                                  generate_synthetic)
 
@@ -32,7 +31,7 @@ def test_different_seed_changes_data():
 
 def test_every_job_geo_cell_is_populated():
     records, _ = generate_synthetic(small_config())
-    idx = build_factor_index(records)
+    idx = records.index
     assert idx.n_job_geo == 2 * 4  # full job x geo crossing
     assert idx.n_gjs_geo == 2 * 2
     assert (np.asarray(idx.group_sizes) >= 1).all()
@@ -40,7 +39,7 @@ def test_every_job_geo_cell_is_populated():
 
 def test_group_sizes_respect_law_bounds():
     records, _ = generate_synthetic(small_config())
-    idx = build_factor_index(records)
+    idx = records.index
     assert np.asarray(idx.group_sizes).max() <= 5
 
 
@@ -48,22 +47,23 @@ def test_log_salary_matches_generating_equation():
     # with residual scale driven to zero, log salary must equal the
     # linear predictor assembled from the stored ground truth
     cfg = small_config(residual_scale=1e-12)
-    records, truth = generate_synthetic(cfg)
-    for r in records[:40]:
-        eta = (truth[f"beta0_g[{r.gjs}|{r.geo}]"]
-               + truth[f"beta0_j[{r.job}|{r.geo}]"]
-               + (truth[f"beta1_g[{r.gjs}|{r.geo}]"]
-                  + truth[f"beta1_j[{r.job}|{r.geo}]"]) * (1.0 if r.female else 0.0)
-               + truth["beta2"] * r.recent_perf
-               + truth["beta3"] * r.past_perf
-               + truth["beta4"] * r.time_in_job)
-        assert r.log_salary == pytest.approx(eta, abs=1e-6)
-        assert r.salary == pytest.approx(math.exp(eta), rel=1e-6)
+    wf, truth = generate_synthetic(cfg)
+    for i in range(min(40, wf.n)):
+        gjs, job, geo = wf.gjs[i], wf.job[i], wf.geo[i]
+        eta = (truth[f"beta0_g[{gjs}|{geo}]"]
+               + truth[f"beta0_j[{job}|{geo}]"]
+               + (truth[f"beta1_g[{gjs}|{geo}]"]
+                  + truth[f"beta1_j[{job}|{geo}]"]) * (1.0 if wf.female[i] else 0.0)
+               + truth["beta2"] * wf.recent[i]
+               + truth["beta3"] * wf.past[i]
+               + truth["beta4"] * wf.tenure[i])
+        assert wf.log_salary[i] == pytest.approx(eta, abs=1e-6)
+        assert wf.salary[i] == pytest.approx(math.exp(eta), rel=1e-6)
 
 
 def test_truth_contains_every_group_and_fixed_effect():
     records, truth = generate_synthetic(small_config())
-    idx = build_factor_index(records)
+    idx = records.index
     for g in range(idx.n_gjs_geo):
         assert f"beta0_g[{idx.gjs_geo_label(g)}]" in truth.values
         assert f"beta1_g[{idx.gjs_geo_label(g)}]" in truth.values
@@ -100,7 +100,7 @@ def test_female_rate_is_respected():
         n_geos=3, n_gjs=2, n_jobs=10,
         group_size_law=GroupSizeLaw(exponent=0.0, max_size=40),
         female_rate=0.3, seed=4))
-    rate = np.mean([r.female for r in records])
+    rate = np.mean(records.female)
     assert abs(rate - 0.3) < 0.05
 
 
