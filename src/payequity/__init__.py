@@ -32,9 +32,7 @@ from .report import (
 )
 from .baseline import (
     ComparisonTable,
-    DesignMatrix,
     LmFit,
-    build_design_matrix,
     compare_estimates,
     fit_ols,
 )
@@ -50,6 +48,5 @@ __all__ = [
     "GapReport", "GroupGapSummary", "Predictions",
     "adjusted_cents_to_dollar", "build_gap_report", "counterfactual_predictions",
     "fit_metrics", "group_gap_summaries", "raise_recommendations",
-    "ComparisonTable", "DesignMatrix", "LmFit",
-    "build_design_matrix", "compare_estimates", "fit_ols",
+    "ComparisonTable", "LmFit", "compare_estimates", "fit_ols",
 ]

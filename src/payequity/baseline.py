@@ -1,43 +1,31 @@
 """Plain dummy-variable regression used as the comparison model.
 
-The design has one indicator column per job-geo (spanning the
-intercept, so no global intercept column), one female-indicator
-column per gender-variant job-geo, and the three pooled covariates.
-Groups with a single gender get no female column at all: their gap is
-structurally inestimable for this model, which is the property the
-hierarchical fit is compared against.
+The model has one intercept per job-geo (no global intercept), one
+female coefficient per gender-variant job-geo, and the three pooled
+covariates. Groups with a single gender get no female coefficient at
+all: their gap is structurally inestimable for this model, which is the
+property the hierarchical fit is compared against.
 
-The solver is a rank-revealing pivoted QR so that exact collinearity
-surfaces as explicitly dropped columns rather than silently zeroed
-coefficients.
+Intercept plus female dummy per job-geo is one fixed effect per
+(job-geo, gender) cell, so the fit is solved in closed form over the
+cells (Frisch-Waugh-Lovell) instead of through an n x p design.
+Demeaning within cells leaves a 3-column least-squares problem for the
+covariates; each intercept is then its male cell's covariate-adjusted
+mean (the female cell's when the group has no men), and each female
+coefficient is the female minus the male adjusted mean. A covariate
+whose demeaned column is spanned by the covariates before it, in label
+order, is dropped and reported rather than silently zeroed; so is one
+that is constant within every cell.
 """
 
 import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractViolation
 
 COVARIATE_LABELS = ("recent_perf", "past_perf", "time_in_job")
-
-
-@dataclass
-class DesignMatrix:
-    X: np.ndarray
-    labels: list                 # one per column
-    group_col: np.ndarray        # job-geo index -> indicator column
-    female_col: dict             # job-geo index -> female-slope column
-    n_job_geo: int
-
-    @property
-    def n_rows(self):
-        return self.X.shape[0]
-
-    @property
-    def n_cols(self):
-        return self.X.shape[1]
 
 
 @dataclass
@@ -57,107 +45,93 @@ class LmFit:
     fitted: np.ndarray = None
 
 
-def build_design_matrix(wf):
-    """Assemble the dummy design described in the module docstring."""
-    index = wf.index
-    n = wf.n
-    J = index.n_job_geo
-    variant = index.gender_variant()
-    variant_groups = [j for j in range(J) if variant[j]]
+def fit_ols(wf, y):
+    """Least squares of y on the dummy-variable model of Workforce wf.
 
-    labels = []
-    group_col = np.arange(J)
-    for j in range(J):
-        labels.append("intercept[%s]" % index.job_geo_label(j))
-    female_col = {}
-    for j in variant_groups:
-        female_col[j] = len(labels)
-        labels.append("female[%s]" % index.job_geo_label(j))
-    cov_base = len(labels)
-    labels.extend(COVARIATE_LABELS)
-
-    X = np.zeros((n, len(labels)))
-    female = wf.female.astype(float)
-    X[np.arange(n), index.j_of] = 1.0
-    for j, col in female_col.items():
-        rows = index.j_of == j
-        X[rows, col] = female[rows]
-    X[:, cov_base] = wf.recent
-    X[:, cov_base + 1] = wf.past
-    X[:, cov_base + 2] = wf.tenure
-
-    return DesignMatrix(X=X, labels=labels, group_col=group_col,
-                        female_col=female_col, n_job_geo=J)
-
-
-def fit_ols(design, y):
-    """Least squares through pivoted QR with explicit column dropping.
-
-    Numerically rank-deficient columns (pivoted past the rank cutoff)
-    are reported in dropped_labels and get NaN coefficients. Standard
-    errors come from s^2 (R^-1 R^-T) on the retained columns; with zero
-    residual degrees of freedom they are NaN but the fit is returned.
+    Labels run intercept[...] per job-geo, female[...] per gender-variant
+    job-geo, then the covariates. Dropped covariates are listed in
+    dropped_labels and get NaN coefficients. Standard errors are the
+    diagonal of s^2 (X^T X)^-1 for the full design, written per block
+    with M = (X~^T X~)^-1 over the kept demeaned covariates X~ and the
+    cell covariate means x_c: s^2 M for the covariates,
+    s^2 (1/n_c + x_c' M x_c) for an intercept and
+    s^2 (1/n_f + 1/n_m + d' M d), d = x_f - x_m, for a female
+    coefficient. With zero residual degrees of freedom they are NaN but
+    the fit is returned.
     """
-    X = design.X
+    index = wf.index
     y = np.asarray(y, dtype=float)
-    n, p = X.shape
+    n, J = wf.n, index.n_job_geo
     if y.shape != (n,):
         raise ContractViolation("response length %d does not match %d rows"
                                 % (y.shape[0], n))
+    variant = np.flatnonzero(index.gender_variant())
+    labels = (["intercept[%s]" % index.job_geo_label(j) for j in range(J)]
+              + ["female[%s]" % index.job_geo_label(j) for j in variant]
+              + list(COVARIATE_LABELS))
 
-    Q, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = max(n, p) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank == 0:
-        raise ContractViolation("design matrix has rank zero")
+    # cell 2j holds job-geo j's men, cell 2j + 1 its women
+    cell = 2 * index.j_of + wf.female
+    n_cell = index.gender_counts[:, ::-1].ravel()
+    X = np.column_stack([wf.recent, wf.past, wf.tenure])
 
-    retained = piv[:rank]
-    dropped = piv[rank:]
-    R1 = R[:rank, :rank]
-    qty = Q[:, :rank].T @ y
-    b = scipy.linalg.solve_triangular(R1, qty)
+    def cell_means(v):
+        return np.bincount(cell, weights=v, minlength=2 * J) / np.maximum(n_cell, 1)
 
-    coef = np.full(p, np.nan)
-    coef[retained] = b
-    fitted = X[:, retained] @ b
-    resid = y - fitted
+    y_bar = cell_means(y)
+    X_bar = np.column_stack([cell_means(x) for x in X.T])
+    Xt = X - X_bar[cell]
+    yt = y - y_bar[cell]
 
+    tol = max(n, len(labels)) * np.finfo(float).eps
+    keep = []
+    for k in range(X.shape[1]):
+        r = np.linalg.qr(Xt[:, keep + [k]], mode="r")
+        if abs(r[-1, -1]) > tol * np.linalg.norm(X[:, k]):
+            keep.append(k)
+    Q, R = np.linalg.qr(Xt[:, keep])
+    b = np.linalg.solve(R, Q.T @ yt)
+    R_inv = np.linalg.inv(R)
+    resid = yt - Xt[:, keep] @ b
+
+    rank = J + len(variant) + len(keep)
     dof = n - rank
-    se = np.full(p, np.nan)
-    if dof > 0:
-        s2 = float(resid @ resid) / dof
-        R1_inv = scipy.linalg.solve_triangular(R1, np.eye(rank))
-        cov_diag = s2 * np.sum(R1_inv ** 2, axis=1)
-        se[retained] = np.sqrt(np.maximum(cov_diag, 0.0))
-    else:
-        s2 = float("nan")
+    s2 = float(resid @ resid) / dof if dof > 0 else float("nan")
 
-    dropped_set = set(int(k) for k in dropped)
-    estimable = set()
-    female_coef = {}
-    female_se = {}
-    for j, col in design.female_col.items():
-        if col not in dropped_set:
-            estimable.add(j)
-            female_coef[j] = float(coef[col])
-            female_se[j] = float(se[col])
-    inestimable = set(range(design.n_job_geo)) - estimable
+    def quad(D):
+        """s^2 d' M d for each row d of D, with M = R^-1 R^-T."""
+        return s2 * np.sum((D @ R_inv) ** 2, axis=1)
 
+    X_bar = X_bar[:, keep]
+    adjusted = y_bar - X_bar @ b
+    base = 2 * np.arange(J) + (n_cell[0::2] == 0)   # male cell unless empty
+    male, female = 2 * variant, 2 * variant + 1
+    cov_coef = np.full(X.shape[1], np.nan)
+    cov_coef[keep] = b
+    cov_se = np.full(X.shape[1], np.nan)
+    cov_se[keep] = np.sqrt(quad(np.eye(len(keep))))
+    female_coef = adjusted[female] - adjusted[male]
+    female_se = np.sqrt(s2 / n_cell[female] + s2 / n_cell[male]
+                        + quad(X_bar[female] - X_bar[male]))
+    coef = np.concatenate([adjusted[base], female_coef, cov_coef])
+    se = np.concatenate([np.sqrt(s2 / n_cell[base] + quad(X_bar[base])),
+                         female_se, cov_se])
+
+    estimable = set(variant.tolist())
     return LmFit(
-        labels=list(design.labels),
+        labels=labels,
         coef=coef,
         se=se,
         residual_variance=s2,
         rank=rank,
         n_rows=n,
-        dropped_labels=[design.labels[int(k)] for k in dropped],
+        dropped_labels=[COVARIATE_LABELS[k] for k in range(X.shape[1]) if k not in keep],
         estimable_groups=estimable,
-        inestimable_groups=inestimable,
-        female_coef=female_coef,
-        female_se=female_se,
+        inestimable_groups=set(range(J)) - estimable,
+        female_coef=dict(zip(variant.tolist(), female_coef.tolist())),
+        female_se=dict(zip(variant.tolist(), female_se.tolist())),
         residuals=resid,
-        fitted=fitted,
+        fitted=y - resid,
     )
 
 

@@ -18,8 +18,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .baseline import (build_design_matrix, compare_estimates, fit_ols,
-                       format_comparison_text, write_comparison_csv)
+from .baseline import (compare_estimates, fit_ols, format_comparison_text,
+                       write_comparison_csv)
 from .diagnostics import (convergence_report, export_traces,
                           format_diagnostics_text, write_diagnostics_csv)
 from .errors import (ConfigError, ContractViolation, EmptyDatasetError,
@@ -31,9 +31,8 @@ from .hmc import PosteriorDraws, SamplerConfig, _sha256_file, run_chains
 from .kvconfig import parse_float, parse_int, read_kv
 from .model import ModelSpec
 from .records import load_csv, write_csv
-from .report import (build_gap_report, counterfactual_predictions,
-                     format_report_text, group_gap_summaries, write_group_csv,
-                     write_report_json)
+from .report import (build_gap_report, format_report_text,
+                     group_gap_summaries, write_group_csv, write_report_json)
 from .synthetic import (REFERENCE_IMBALANCE, GroupSizeLaw, SynthConfig,
                         config_summary, generate_synthetic)
 
@@ -43,7 +42,8 @@ EXIT_USAGE = 2
 
 
 def _write_manifest(out_dir, command, config, seeds, inputs, outputs):
-    """One manifest per output directory; outputs keyed by digest."""
+    """One manifest per output directory; each output's digest is keyed
+    by its path relative to out_dir."""
     manifest = {
         "command": command,
         "engine_version": __version__,
@@ -51,7 +51,8 @@ def _write_manifest(out_dir, command, config, seeds, inputs, outputs):
         "config": config,
         "seeds": seeds,
         "inputs": {str(p): _sha256_file(p) for p in inputs},
-        "outputs": {str(Path(p).name): _sha256_file(p) for p in outputs},
+        "outputs": {Path(p).relative_to(out_dir).as_posix(): _sha256_file(p)
+                    for p in outputs},
     }
     path = Path(out_dir) / "manifest.json"
     with open(path, "w") as fh:
@@ -170,8 +171,8 @@ def cmd_fit(args):
                        data_digest=digest, progress=args.progress)
     draws.save(out)
 
-    summary = convergence_report([c for c in draws.chains],
-                                 draws.param_names, threshold=args.rhat_threshold)
+    summary = convergence_report(draws.chains, draws.param_names,
+                                 threshold=args.rhat_threshold)
     diag_csv = out / "diagnostics.csv"
     write_diagnostics_csv(summary, diag_csv)
     diag_txt = out / "diagnostics.txt"
@@ -212,19 +213,19 @@ def cmd_fit(args):
 def cmd_diagnose(args):
     draws = PosteriorDraws.load(args.draws)
     out = _prepare_out_dir(args.out)
-    summary = convergence_report([c for c in draws.chains],
-                                 draws.param_names, threshold=args.rhat_threshold)
+    summary = convergence_report(draws.chains, draws.param_names,
+                                 threshold=args.rhat_threshold)
     write_diagnostics_csv(summary, out / "diagnostics.csv")
     text = format_diagnostics_text(summary)
     with open(out / "diagnostics.txt", "w") as fh:
         fh.write(text)
     print(text, end="")
-    if args.traces:
-        trace_dir = out / "traces"
-        export_traces([c for c in draws.chains], draws.param_names, trace_dir)
-        print("trace CSVs written to %s" % trace_dir)
     outputs = sorted(p for p in out.iterdir()
                      if p.is_file() and p.name != "manifest.json")
+    if args.traces:
+        trace_dir = out / "traces"
+        outputs += export_traces(draws.chains, draws.param_names, trace_dir)
+        print("trace CSVs written to %s" % trace_dir)
     _write_manifest(out, "diagnose", {"rhat_threshold": args.rhat_threshold},
                     [], [], outputs)
     return EXIT_OK
@@ -265,9 +266,8 @@ def cmd_report(args):
 def cmd_compare(args):
     draws, wf = _load_draws_and_data(args.draws, args.data)
     out = _prepare_out_dir(args.out)
-    pred = counterfactual_predictions(draws, wf)
-    summaries = group_gap_summaries(draws, wf, predictions=pred)
-    lm = fit_ols(build_design_matrix(wf), wf.log_salary)
+    summaries = group_gap_summaries(draws, wf)
+    lm = fit_ols(wf, wf.log_salary)
     table = compare_estimates(summaries, lm, wf.index,
                               small_group_k=args.small_group_k)
     write_comparison_csv(table, out / "comparison.csv")

@@ -269,16 +269,18 @@ def export_traces(chain_draws, param_names, out_dir):
         raise ContractViolation(
             "got %d names for %d parameters" % (len(param_names), n_params))
     os.makedirs(out_dir, exist_ok=True)
+    # The bytes csv.writer would give: \r\n line ends, repr floats (no
+    # float repr needs quoting). Row prefixes are shared by all files.
+    prefixes = [["%d,%d," % (ci, it) for it in range(len(mat))]
+                for ci, mat in enumerate(mats)]
     paths = []
     for k, name in enumerate(param_names):
         safe = name.replace("[", "_").replace("]", "").replace("|", "_")
         path = os.path.join(out_dir, "trace_%s.csv" % safe)
+        rows = ["chain,iteration,value\r\n"]
+        for pre, mat in zip(prefixes, mats):
+            rows += [p + repr(v) + "\r\n" for p, v in zip(pre, mat[:, k].tolist())]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["chain", "iteration", "value"])
-            for ci, mat in enumerate(mats):
-                col = mat[:, k]
-                for it in range(len(col)):
-                    w.writerow([ci, it, repr(float(col[it]))])
+            fh.write("".join(rows))
         paths.append(path)
     return paths

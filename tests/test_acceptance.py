@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from payequity.baseline import build_design_matrix, fit_ols
+from payequity.baseline import fit_ols
 from payequity.diagnostics import (convergence_report, effective_sample_size,
                                    split_rhat)
 from payequity.hmc import (AcceptStats, ChainState, SamplerConfig,
@@ -170,8 +170,7 @@ def test_criterion_4_full_group_coverage(workforce_run):
     report = build_gap_report(run.draws, records)
     hlm_groups = {s.job_geo for s in report.summaries}
 
-    design = build_design_matrix(records)
-    lm = fit_ols(design, records.log_salary)
+    lm = fit_ols(records, records.log_salary)
 
     # independent gender-count oracle straight from the raw columns
     genders_seen = {}
@@ -229,8 +228,7 @@ def test_criterion_5_small_group_shrinkage():
                                base_seed=500 + 2 * t)
         draws = run_chains(records, ModelSpec(), config)
         summaries = group_gap_summaries(draws, records)
-        design = build_design_matrix(records)
-        lm = fit_ols(design, records.log_salary)
+        lm = fit_ols(records, records.log_salary)
         small = [j for j in lm.estimable_groups if index.group_sizes[j] <= 4]
         assert small, "fixture must contain small gender-variant groups"
         hlm_mean = np.mean([abs(summaries[j].effect_mean) for j in small])

@@ -4,38 +4,49 @@ import math
 import numpy as np
 import pytest
 
-from payequity.baseline import (build_design_matrix, compare_estimates,
-                                fit_ols, format_comparison_text,
-                                write_comparison_csv)
+from payequity.baseline import (compare_estimates, fit_ols,
+                                format_comparison_text, write_comparison_csv)
 from payequity.errors import ContractViolation
 from payequity.report import GroupGapSummary
 
 from test_records import make_record, workforce
 
 
+def dense_design(wf):
+    """The dummy design written out, as the oracle for the closed-form
+    solve: an indicator per job-geo, a female indicator per
+    gender-variant job-geo, then the three covariates."""
+    index = wf.index
+    J = index.n_job_geo
+    variant = np.flatnonzero(index.gender_variant())
+    X = np.zeros((wf.n, J + len(variant) + 3))
+    X[np.arange(wf.n), index.j_of] = 1.0
+    for c, j in enumerate(variant):
+        X[:, J + c] = (index.j_of == j) & wf.female
+    X[:, -3:] = np.column_stack([wf.recent, wf.past, wf.tenure])
+    return X
+
+
 def fit(records):
     wf = workforce(records)
-    design = build_design_matrix(wf)
-    return wf.index, design, fit_ols(design, wf.log_salary)
+    return wf.index, dense_design(wf), fit_ols(wf, wf.log_salary)
 
 
-# ----------------------------------------------------------- design matrix
+# ------------------------------------------------------------ model labels
 
 def test_single_worker_design_has_four_columns():
-    records = [make_record(0, female=False)]
-    wf = workforce(records)
-    design = build_design_matrix(wf)
-    assert design.n_cols == 4  # intercept + 3 covariates, no female column
-    assert design.female_col == {}
+    index, _, lm = fit([make_record(0, female=False)])
+    assert lm.labels == ["intercept[job0|geo0]", "recent_perf", "past_perf",
+                         "time_in_job"]  # no female coefficient
+    assert lm.estimable_groups == set()
+    assert lm.female_coef == {}
 
 
 def test_opposite_gender_pair_adds_female_column():
-    records = [make_record(0, female=False), make_record(1, female=True)]
-    wf = workforce(records)
-    design = build_design_matrix(wf)
-    assert design.n_cols == 5
-    assert list(design.female_col) == [0]
-    assert design.labels[design.female_col[0]].startswith("female[")
+    index, _, lm = fit([make_record(0, female=False), make_record(1, female=True)])
+    assert len(lm.labels) == 5
+    assert lm.labels[1] == "female[job0|geo0]"
+    assert lm.estimable_groups == {0}
 
 
 def test_ten_groups_four_variant_gives_seventeen_columns():
@@ -45,22 +56,23 @@ def test_ten_groups_four_variant_gives_seventeen_columns():
         records.append(make_record(i, job="job%d" % j, female=False)); i += 1
         if j < 4:
             records.append(make_record(i, job="job%d" % j, female=True)); i += 1
-    wf = workforce(records)
-    design = build_design_matrix(wf)
-    assert design.n_cols == 10 + 4 + 3
-    assert set(design.female_col) == {0, 1, 2, 3}
+    index, _, lm = fit(records)
+    assert len(lm.labels) == 10 + 4 + 3
+    assert lm.estimable_groups == {0, 1, 2, 3}
+    assert [l for l in lm.labels if l.startswith("female[")] == [
+        "female[job%d|geo0]" % j for j in range(4)]
 
 
 def test_female_column_zero_outside_its_group():
-    records = [make_record(0, job="a", female=True),
-               make_record(1, job="a", female=False),
-               make_record(2, job="b", female=True),
-               make_record(3, job="b", female=False)]
-    wf = workforce(records)
-    design = build_design_matrix(wf)
-    col_a = design.female_col[0]
-    assert design.X[2, col_a] == 0.0 and design.X[3, col_a] == 0.0
-    assert design.X[0, col_a] == 1.0 and design.X[1, col_a] == 0.0
+    records = [make_record(0, job="a", female=True, salary=90000.0),
+               make_record(1, job="a", female=False, salary=100000.0),
+               make_record(2, job="b", female=True, salary=70000.0),
+               make_record(3, job="b", female=False, salary=60000.0)]
+    index, _, lm = fit(records)
+    # one worker per cell: every covariate is constant within its cells
+    assert lm.dropped_labels == ["recent_perf", "past_perf", "time_in_job"]
+    assert lm.female_coef[0] == pytest.approx(math.log(90000.0 / 100000.0), rel=1e-12)
+    assert lm.female_coef[1] == pytest.approx(math.log(70000.0 / 60000.0), rel=1e-12)
 
 
 # -------------------------------------------------------------- OLS solver
@@ -83,8 +95,7 @@ def noisy_fixture():
 
 def test_coefficients_match_normal_equations():
     records = noisy_fixture()
-    index, design, lm = fit(records)
-    X = design.X
+    index, X, lm = fit(records)
     y = np.array([r.log_salary for r in records])
     ref = np.linalg.solve(X.T @ X, X.T @ y)
     assert lm.dropped_labels == []
@@ -93,8 +104,7 @@ def test_coefficients_match_normal_equations():
 
 def test_standard_errors_match_covariance_formula():
     records = noisy_fixture()
-    index, design, lm = fit(records)
-    X = design.X
+    index, X, lm = fit(records)
     y = np.array([r.log_salary for r in records])
     resid = y - X @ np.linalg.solve(X.T @ X, X.T @ y)
     dof = len(records) - X.shape[1]
@@ -106,20 +116,17 @@ def test_standard_errors_match_covariance_formula():
 
 def test_residuals_orthogonal_to_retained_columns():
     records = noisy_fixture()
-    index, design, lm = fit(records)
-    X = design.X
+    index, X, lm = fit(records)
     scale = np.linalg.norm(X, axis=0) * max(np.linalg.norm(lm.residuals), 1e-30)
     dots = np.abs(X.T @ lm.residuals)
     assert np.all(dots <= 1e-8 * np.maximum(scale, 1.0))
 
 
 def test_exact_interpolation_when_response_in_column_space():
-    records = noisy_fixture()
-    wf = workforce(records)
-    design = build_design_matrix(wf)
-    c = np.linspace(0.5, 1.5, design.n_cols)
-    y = design.X @ c
-    lm = fit_ols(design, y)
+    wf = workforce(noisy_fixture())
+    X = dense_design(wf)
+    c = np.linspace(0.5, 1.5, X.shape[1])
+    lm = fit_ols(wf, X @ c)
     assert np.abs(lm.residuals).max() < 1e-10
     np.testing.assert_allclose(lm.coef, c, rtol=1e-8)
 
@@ -140,7 +147,7 @@ def test_singleton_group_indicator_absorbs_its_worker():
     lone = make_record(i, job="solo", female=False, recent_perf=0.7,
                        past_perf=-0.4, time_in_job=3.0, salary=90000.0)
     records.append(lone)
-    index, design, lm = fit(records)
+    index, _, lm = fit(records)
 
     j_solo = index.n_job_geo - 1
     assert abs(lm.residuals[-1]) < 1e-10
@@ -153,7 +160,7 @@ def test_singleton_group_indicator_absorbs_its_worker():
 
 def test_estimable_groups_are_exactly_the_gender_variant_ones():
     records = noisy_fixture()  # group a has both genders, group b male-only
-    index, design, lm = fit(records)
+    index, _, lm = fit(records)
     variant = index.gender_variant()
     assert lm.estimable_groups == {j for j in range(index.n_job_geo) if variant[j]}
     assert lm.inestimable_groups == {j for j in range(index.n_job_geo)
@@ -170,12 +177,34 @@ def test_duplicate_covariate_column_gets_dropped():
             i, job="a", female=bool(i % 2), recent_perf=x,
             past_perf=float(rng.normal()), time_in_job=x,  # identical columns
             salary=float(np.exp(10.0 + 0.2 * rng.normal()))))
-    index, design, lm = fit(records)
-    assert len(lm.dropped_labels) == 1
-    assert lm.dropped_labels[0] in ("recent_perf", "time_in_job")
-    k = lm.labels.index(lm.dropped_labels[0])
+    index, _, lm = fit(records)
+    assert lm.dropped_labels == ["time_in_job"]  # the later of the two, in label order
+    k = lm.labels.index("time_in_job")
     assert math.isnan(lm.coef[k]) and math.isnan(lm.se[k])
     assert np.isfinite(lm.residuals).all()
+
+
+def test_covariate_constant_within_cells_is_dropped_not_an_intercept():
+    records = noisy_fixture()
+    for r in records:  # one tenure per (job-geo, gender) cell
+        r.time_in_job = {("a", True): 1.0, ("a", False): 4.0, ("b", False): 2.5}[
+            (r.job, r.female)]
+    index, X, lm = fit(records)
+    assert lm.dropped_labels == ["time_in_job"]
+    assert lm.rank == X.shape[1] - 1
+    k = lm.labels.index("time_in_job")
+    assert math.isnan(lm.coef[k]) and math.isnan(lm.se[k])
+    assert np.isfinite(np.delete(lm.coef, k)).all()
+    assert np.isfinite(np.delete(lm.se, k)).all()
+    # the oracle without that column: the design has full rank again
+    y = np.array([r.log_salary for r in records])
+    Xk = np.delete(X, k, axis=1)
+    ref = np.linalg.solve(Xk.T @ Xk, Xk.T @ y)
+    resid = y - Xk @ ref
+    s2 = float(resid @ resid) / (len(records) - Xk.shape[1])
+    np.testing.assert_allclose(np.delete(lm.coef, k), ref, rtol=1e-8, atol=1e-10)
+    np.testing.assert_allclose(np.delete(lm.se, k),
+                               np.sqrt(s2 * np.diag(np.linalg.inv(Xk.T @ Xk))), rtol=1e-8)
 
 
 def test_saturated_fit_returns_nan_standard_errors():
@@ -183,28 +212,17 @@ def test_saturated_fit_returns_nan_standard_errors():
                            time_in_job=0.03, salary=90000.0),
                make_record(1, female=True, recent_perf=0.02, past_perf=0.01,
                            time_in_job=0.04, salary=80000.0)]
-    index, design, lm = fit(records)
+    index, _, lm = fit(records)
     assert lm.rank == 2
     assert math.isnan(lm.residual_variance)
     assert np.isnan(lm.se).all()
     assert np.abs(lm.residuals).max() < 1e-10
 
 
-def test_rank_zero_design_rejected():
-    records = [make_record(0, recent_perf=0.0, past_perf=0.0, time_in_job=0.0)]
-    wf = workforce(records)
-    design = build_design_matrix(wf)
-    design.X = np.zeros_like(design.X)
-    with pytest.raises(ContractViolation):
-        fit_ols(design, np.array([11.0]))
-
-
 def test_response_length_checked():
-    records = noisy_fixture()
-    wf = workforce(records)
-    design = build_design_matrix(wf)
+    wf = workforce(noisy_fixture())
     with pytest.raises(ContractViolation):
-        fit_ols(design, np.zeros(len(records) + 1))
+        fit_ols(wf, np.zeros(wf.n + 1))
 
 
 # -------------------------------------------------------------- comparison
@@ -223,7 +241,7 @@ def test_comparison_rows_sorted_by_group_size():
     records = noisy_fixture()
     lone = make_record(99, job="solo", female=False)
     records = records + [lone]
-    index, design, lm = fit(records)
+    index, _, lm = fit(records)
     summaries = [summary_for(index, j, -0.01 * j) for j in range(index.n_job_geo)]
     table = compare_estimates(summaries, lm, index)
     sizes = [r.n_workers for r in table.rows]
@@ -233,7 +251,7 @@ def test_comparison_rows_sorted_by_group_size():
 
 def test_comparison_marks_inestimable_groups():
     records = noisy_fixture()  # b male-only: inestimable
-    index, design, lm = fit(records)
+    index, _, lm = fit(records)
     summaries = [summary_for(index, j, -0.02) for j in range(index.n_job_geo)]
     table = compare_estimates(summaries, lm, index)
     by_label = {r.label: r for r in table.rows}
@@ -246,7 +264,7 @@ def test_comparison_marks_inestimable_groups():
 def test_all_single_gender_data_has_no_lm_estimates():
     records = [make_record(i, job="job%d" % (i // 2), female=False)
                for i in range(8)]
-    index, design, lm = fit(records)
+    index, _, lm = fit(records)
     assert lm.estimable_groups == set()
     summaries = [summary_for(index, j, 0.0) for j in range(index.n_job_geo)]
     table = compare_estimates(summaries, lm, index)
@@ -259,7 +277,7 @@ def test_small_group_shrinkage_averages():
     lone_f = make_record(90, job="tiny", female=True, salary=95000.0)
     lone_m = make_record(91, job="tiny", female=False, salary=100000.0)
     records = records + [lone_f, lone_m]
-    index, design, lm = fit(records)
+    index, _, lm = fit(records)
     summaries = [summary_for(index, j, -0.01) for j in range(index.n_job_geo)]
     table = compare_estimates(summaries, lm, index, small_group_k=2)
     # only "tiny" (size 2) is both small and estimable
@@ -271,14 +289,14 @@ def test_small_group_shrinkage_averages():
 
 def test_mismatched_summary_count_rejected():
     records = noisy_fixture()
-    index, design, lm = fit(records)
+    index, _, lm = fit(records)
     with pytest.raises(ContractViolation):
         compare_estimates([], lm, index)
 
 
 def test_comparison_csv_format(tmp_path):
     records = noisy_fixture()
-    index, design, lm = fit(records)
+    index, _, lm = fit(records)
     summaries = [summary_for(index, j, -0.02) for j in range(index.n_job_geo)]
     table = compare_estimates(summaries, lm, index)
     path = tmp_path / "comparison.csv"
@@ -295,7 +313,7 @@ def test_comparison_csv_format(tmp_path):
 
 def test_comparison_text_mentions_inestimable_share():
     records = noisy_fixture()
-    index, design, lm = fit(records)
+    index, _, lm = fit(records)
     summaries = [summary_for(index, j, -0.02) for j in range(index.n_job_geo)]
     text = format_comparison_text(compare_estimates(summaries, lm, index))
     assert "workers" in text
@@ -329,7 +347,7 @@ def balanced_fit():
                     past_perf=past, time_in_job=tenure,
                     salary=float(np.exp(eta + 0.25 * rng.normal()))))
                 i += 1
-    index, design, lm = fit(records)
+    index, _, lm = fit(records)
     config = SamplerConfig(n_chains=2, n_warmup=300, n_samples=300,
                            leapfrog_steps=256, target_accept=0.9, base_seed=40)
     wf = workforce(records)

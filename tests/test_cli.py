@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,7 +162,12 @@ def test_diagnose_reruns_on_stored_draws(sim_and_fit, tmp_path, capsys):
     assert rc == 0
     assert (out / "diagnostics.csv").exists()
     assert (out / "traces").is_dir()
-    assert any(out.glob("traces/trace_*.csv"))
+    traces = sorted(out.glob("traces/trace_*.csv"))
+    assert traces
+    manifest = json.loads((out / "manifest.json").read_text())
+    for path in traces:
+        assert manifest["outputs"]["traces/" + path.name] == sha(path)
+    assert manifest["outputs"]["diagnostics.csv"] == sha(out / "diagnostics.csv")
     with open(out / "diagnostics.csv") as fh:
         header = fh.readline().strip()
     assert header == "parameter_name,rhat,ess,flagged"
@@ -310,3 +319,15 @@ def test_compare_digest_mismatch_is_usage_error(sim_and_fit, tmp_path):
                    "--data", str(other / "data.csv"),
                    "--out", str(tmp_path / "cmp")])
     assert rc == 2
+
+
+# ----------------------------------------------------------------- imports
+
+def test_cli_import_does_not_load_scipy():
+    """scipy is a test dependency only: no subcommand pays for importing it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, payequity.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.strip() == "[]"

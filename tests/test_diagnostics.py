@@ -189,6 +189,7 @@ def test_diagnostics_text_lists_flagged(tmp_path):
 def test_export_traces_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     chains = [rng.standard_normal((30, 2)) for _ in range(2)]
+    chains[0][:4, 1] = [1e300, -0.0, 5e-324, -1.5e-310]  # huge, signed zero, subnormals
     paths = export_traces(chains, ["mu", "beta[a|b]"], tmp_path / "traces")
     assert len(paths) == 2
     with open(paths[1]) as fh:
@@ -198,3 +199,16 @@ def test_export_traces_roundtrip(tmp_path):
     # spot-check an entry against the source array
     chain_idx, it, value = int(rows[5][0]), int(rows[5][1]), float(rows[5][2])
     assert chains[chain_idx][it, 1] == value
+    assert [float(r[2]) for r in rows[1:5]] == [1e300, -0.0, 5e-324, -1.5e-310]
+    assert math.copysign(1.0, float(rows[2][2])) == -1.0
+    # byte for byte what a csv.writer with repr floats writes
+    for k, path in enumerate(paths):
+        oracle = tmp_path / ("oracle_%d.csv" % k)
+        with open(oracle, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["chain", "iteration", "value"])
+            for ci, mat in enumerate(chains):
+                for it in range(mat.shape[0]):
+                    w.writerow([ci, it, repr(float(mat[it, k]))])
+        with open(path, "rb") as a, open(oracle, "rb") as b:
+            assert a.read() == b.read()
