@@ -69,51 +69,35 @@ def _prepare_out_dir(raw):
 
 # ---------------------------------------------------------------- simulate
 
+# simulate's config-file keys, which are also its flags' dests:
+# key -> (parser, GroupSizeLaw field, or None for the SynthConfig field
+# of the key's name)
+_SIMULATE_KEYS = {
+    "n_geos": (parse_int, None),
+    "n_gjs": (parse_int, None),
+    "n_jobs": (parse_int, None),
+    "female_rate": (parse_float, None),
+    "residual_scale": (parse_float, None),
+    "seed": (parse_int, None),
+    "size_exponent": (parse_float, "exponent"),
+    "max_group_size": (parse_int, "max_size"),
+}
+
+
 def _synth_config_from_args(args):
     """Assemble a SynthConfig honoring flags > config file > defaults."""
-    if args.reference_imbalance:
-        base = REFERENCE_IMBALANCE
-    else:
-        base = SynthConfig()
+    values = {}
     if args.config:
-        kv = read_kv(args.config)
-        known = {
-            "n_geos": ("n_geos", parse_int),
-            "n_gjs": ("n_gjs", parse_int),
-            "n_jobs": ("n_jobs", parse_int),
-            "female_rate": ("female_rate", parse_float),
-            "residual_scale": ("residual_scale", parse_float),
-            "seed": ("seed", parse_int),
-            "size_exponent": (None, parse_float),
-            "max_group_size": (None, parse_int),
-        }
-        law = base.group_size_law
-        updates = {}
-        for key, raw in kv.items():
-            if key not in known:
+        for key, raw in read_kv(args.config).items():
+            if key not in _SIMULATE_KEYS:
                 raise ConfigError("unknown simulate config key: %s" % key)
-            field_name, parser = known[key]
-            value = parser(raw, key)
-            if key == "size_exponent":
-                law = replace(law, exponent=value)
-            elif key == "max_group_size":
-                law = replace(law, max_size=value)
-            else:
-                updates[field_name] = value
-        base = replace(base, group_size_law=law, **updates)
-    law = base.group_size_law
-    if args.size_exponent is not None:
-        law = replace(law, exponent=args.size_exponent)
-    if args.max_group_size is not None:
-        law = replace(law, max_size=args.max_group_size)
-    updates = {"group_size_law": law}
-    for flag, field_name in (("n_geos", "n_geos"), ("n_gjs", "n_gjs"),
-                             ("n_jobs", "n_jobs"), ("female_rate", "female_rate"),
-                             ("residual_scale", "residual_scale"), ("seed", "seed")):
-        value = getattr(args, flag)
-        if value is not None:
-            updates[field_name] = value
-    cfg = replace(base, **updates)
+            values[key] = _SIMULATE_KEYS[key][0](raw, key)
+    values.update((key, getattr(args, key)) for key in _SIMULATE_KEYS
+                  if getattr(args, key) is not None)
+    law = {_SIMULATE_KEYS[k][1]: v for k, v in values.items() if _SIMULATE_KEYS[k][1]}
+    updates = {k: v for k, v in values.items() if not _SIMULATE_KEYS[k][1]}
+    base = REFERENCE_IMBALANCE if args.reference_imbalance else SynthConfig()
+    cfg = replace(base, group_size_law=replace(base.group_size_law, **law), **updates)
     cfg.validate()
     return cfg
 
@@ -190,18 +174,13 @@ def cmd_fit(args):
     print("accept rates: %s  divergences: %s"
           % (["%.3f" % a for a in draws.accept_rates], draws.divergences))
     print("flagged parameters (rhat > %.2f): %d of %d (%.2f%%)"
-          % (summary.threshold, summary.n_flagged, len(summary.entries),
+          % (summary.threshold, summary.n_flagged, len(summary.names),
              100.0 * summary.flagged_fraction))
 
     outputs = sorted(p for p in out.iterdir() if p.name != "manifest.json")
     _write_manifest(
         out, "fit",
-        {"sampler": {"n_chains": sampler_cfg.n_chains,
-                     "n_warmup": sampler_cfg.n_warmup,
-                     "n_samples": sampler_cfg.n_samples,
-                     "leapfrog_steps": sampler_cfg.leapfrog_steps,
-                     "target_accept": sampler_cfg.target_accept,
-                     "base_seed": sampler_cfg.base_seed},
+        {"sampler": sampler_cfg.to_dict(),
          "model": spec.as_dict(),
          "rhat_threshold": args.rhat_threshold},
         [sampler_cfg.base_seed], [args.data], outputs)
@@ -227,7 +206,7 @@ def cmd_diagnose(args):
         outputs += export_traces(draws.chains, draws.param_names, trace_dir)
         print("trace CSVs written to %s" % trace_dir)
     _write_manifest(out, "diagnose", {"rhat_threshold": args.rhat_threshold},
-                    [], [], outputs)
+                    [], [Path(args.draws) / "metadata.json"], outputs)
     return EXIT_OK
 
 
@@ -257,7 +236,7 @@ def cmd_report(args):
     print(text.split("\n\n")[0])
     outputs = sorted(p for p in out.iterdir() if p.name != "manifest.json")
     _write_manifest(out, "report", {"interval_mass": args.interval_mass},
-                    [], [args.data], outputs)
+                    [], [args.data, Path(args.draws) / "metadata.json"], outputs)
     return EXIT_OK
 
 
@@ -277,7 +256,7 @@ def cmd_compare(args):
     print(text.split("\n\n")[0])
     outputs = sorted(p for p in out.iterdir() if p.name != "manifest.json")
     _write_manifest(out, "compare", {"small_group_k": args.small_group_k},
-                    [], [args.data], outputs)
+                    [], [args.data, Path(args.draws) / "metadata.json"], outputs)
     return EXIT_OK
 
 

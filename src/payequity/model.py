@@ -236,6 +236,8 @@ class HierarchicalModel:
         self.index = wf.index
         self.spec = spec
         self.layout = build_layout(wf.index)
+        # the block slices, read once: logp_and_grad is the sampler's hot path
+        self._slices = tuple(self.layout.block_slices().values())
         self.female = wf.female.astype(float)
         self.n = wf.n
 
@@ -284,17 +286,19 @@ class HierarchicalModel:
     def logp_and_grad(self, v: np.ndarray) -> tuple[float, np.ndarray]:
         """Fused value and gradient, no raising: non-finite -> (-inf, 0)."""
         lay = self.layout
+        sz0g, sz1g, sz0j, sz1j, s_mu, s_ls, s_fixed, s_res = self._slices
         spec = self.spec
         v = np.asarray(v, dtype=float)
-        z0g = v[lay.z_intercept_g]
-        z1g = v[lay.z_slope_g]
-        z0j = v[lay.z_intercept_j]
-        z1j = v[lay.z_slope_j]
-        mu0g, mu1g, mu0j, mu1j = v[lay.hyper_mu]
-        ls = v[lay.hyper_log_sigma]
-        fixed = v[lay.fixed]
+        z0g = v[sz0g]
+        z1g = v[sz1g]
+        z0j = v[sz0j]
+        z1j = v[sz1j]
+        mu_vec = v[s_mu]
+        mu0g, mu1g, mu0j, mu1j = mu_vec
+        ls = v[s_ls]
+        fixed = v[s_fixed]
         b2, b3, b4 = fixed
-        ls_res = float(v[lay.log_sigma_resid][0])
+        ls_res = float(v[s_res][0])
         wf = self.wf
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -316,7 +320,6 @@ class HierarchicalModel:
             S_sig = spec.hyperprior_sigma_scale
             s2, s3, s4 = spec.fixed_effect_prior_scales
             S_res = spec.residual_sigma_prior_scale
-            mu_vec = v[lay.hyper_mu]
             scale_vec = np.array([s0g, s1g, s0j, s1j])
 
             logp = (
@@ -341,31 +344,32 @@ class HierarchicalModel:
             w = resid / var
             G, J = lay.G, lay.J
             g_of, j_of = self.index.g_of, self.index.j_of
+            w_female = w * self.female
             sum_g = np.bincount(g_of, weights=w, minlength=G)
-            sum_gf = np.bincount(g_of, weights=w * self.female, minlength=G)
+            sum_gf = np.bincount(g_of, weights=w_female, minlength=G)
             sum_j = np.bincount(j_of, weights=w, minlength=J)
-            sum_jf = np.bincount(j_of, weights=w * self.female, minlength=J)
+            sum_jf = np.bincount(j_of, weights=w_female, minlength=J)
 
             grad = np.empty(lay.dim)
-            grad[lay.z_intercept_g] = s0g * sum_g - z0g
-            grad[lay.z_slope_g] = s1g * sum_gf - z1g
-            grad[lay.z_intercept_j] = s0j * sum_j - z0j
-            grad[lay.z_slope_j] = s1j * sum_jf - z1j
-            grad[lay.hyper_mu] = np.array([
+            grad[sz0g] = s0g * sum_g - z0g
+            grad[sz1g] = s1g * sum_gf - z1g
+            grad[sz0j] = s0j * sum_j - z0j
+            grad[sz1j] = s1j * sum_jf - z1j
+            grad[s_mu] = np.array([
                 np.sum(sum_g), np.sum(sum_gf), np.sum(sum_j), np.sum(sum_jf),
             ]) - mu_vec / S_mu ** 2
-            grad[lay.hyper_log_sigma] = np.array([
+            grad[s_ls] = np.array([
                 s0g * float(np.dot(sum_g, z0g)),
                 s1g * float(np.dot(sum_gf, z1g)),
                 s0j * float(np.dot(sum_j, z0j)),
                 s1j * float(np.dot(sum_jf, z1j)),
             ]) + 1.0 - scale_vec ** 2 / S_sig ** 2
-            grad[lay.fixed] = np.array([
+            grad[s_fixed] = np.array([
                 float(np.dot(w, wf.recent)) - b2 / s2 ** 2,
                 float(np.dot(w, wf.past)) - b3 / s3 ** 2,
                 float(np.dot(w, wf.tenure)) - b4 / s4 ** 2,
             ])
-            grad[lay.log_sigma_resid] = (
+            grad[s_res] = (
                 -self.n + ssr / var + 1.0 - var / S_res ** 2)
 
             if not np.all(np.isfinite(grad)):

@@ -129,40 +129,32 @@ def group_gap_summaries(draws, wf, interval_mass=0.95, predictions=None):
     if not (0.0 < interval_mass < 1.0):
         raise ContractViolation("interval_mass must lie in (0, 1)")
     index = wf.index
+    J = index.n_job_geo
     _, beta1_g, _, beta1_j, _ = _natural_blocks(draws)
-    gj = index.gjs_geo_of_job_geo()
+    # (J, draws), so that every reduction over draws runs along a row
+    eff = np.ascontiguousarray((beta1_g[:, index.gjs_geo_of_job_geo()] + beta1_j).T)
     alpha = (1.0 - interval_mass) / 2.0
+    lo, hi = np.quantile(eff, [alpha, 1.0 - alpha], axis=1)
+    mean = eff.mean(axis=1)
+    sd = eff.std(axis=1, ddof=1) if eff.shape[1] > 1 else np.zeros(J)
 
-    gaps_by_group = None
+    sizes = index.group_sizes
+    med_gap = mean_gap = np.full(J, np.nan)
     if predictions is not None:
         gaps = predictions.y_hat_male - predictions.y_hat_female
-        order = np.argsort(index.j_of, kind="stable")  # workers in file order within a group
-        gaps_by_group = np.split(gaps[order], np.cumsum(index.group_sizes)[:-1])
+        # every group has a worker; its median is the mean of the middle
+        # two of its sorted gaps (one, twice, when the count is odd)
+        ranked = gaps[np.lexsort((gaps, index.j_of))]
+        start = np.cumsum(sizes) - sizes
+        med_gap = (ranked[start + (sizes - 1) // 2] + ranked[start + sizes // 2]) / 2
+        mean_gap = np.bincount(index.j_of, weights=gaps, minlength=J) / sizes
 
-    out = []
-    for j in range(index.n_job_geo):
-        eff = beta1_g[:, gj[j]] + beta1_j[:, j]
-        lo, hi = np.quantile(eff, [alpha, 1.0 - alpha])
-        if gaps_by_group is not None and len(gaps_by_group[j]):
-            med_gap = float(np.median(gaps_by_group[j]))
-            mean_gap = float(np.mean(gaps_by_group[j]))
-        else:
-            med_gap = float("nan")
-            mean_gap = float("nan")
-        out.append(GroupGapSummary(
-            job_geo=j,
-            label=index.job_geo_label(j),
-            effect_mean=float(eff.mean()),
-            effect_sd=float(eff.std(ddof=1)) if len(eff) > 1 else 0.0,
-            ci_low=float(lo),
-            ci_high=float(hi),
-            significant=bool(lo > 0.0 or hi < 0.0),
-            n_workers=int(index.group_sizes[j]),
-            n_female=int(index.gender_counts[j, 0]),
-            median_gap_usd=med_gap,
-            mean_gap_usd=mean_gap,
-        ))
-    return out
+    columns = zip(mean.tolist(), sd.tolist(), lo.tolist(), hi.tolist(),
+                  ((lo > 0.0) | (hi < 0.0)).tolist(), sizes.tolist(),
+                  index.gender_counts[:, 0].tolist(), med_gap.tolist(), mean_gap.tolist())
+    # in GroupGapSummary's field order
+    return [GroupGapSummary(j, index.job_geo_label(j), *row)
+            for j, row in enumerate(columns)]
 
 
 def raise_recommendations(pred, summaries, wf):

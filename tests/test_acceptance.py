@@ -150,7 +150,7 @@ def test_criterion_2_parameter_recovery(workforce_run):
 def test_criterion_3_convergence(workforce_run):
     run = workforce_run
     summary = convergence_report(run.draws.chains, run.draws.param_names)
-    n = len(summary.entries)
+    n = len(summary.names)
     assert n == 2 * run.index.n_gjs_geo + 2 * run.index.n_job_geo + 12
     frac = summary.flagged_fraction
     ok = frac <= 0.001

@@ -73,15 +73,17 @@ def test_simulate_missing_out_flag_is_usage_error(tmp_path):
 
 def test_simulate_flags_beat_config_file(tmp_path):
     cfg = tmp_path / "sim.cfg"
-    cfg.write_text("seed=5\nn_jobs=12\nfemale_rate=0.4\n")
+    cfg.write_text("seed=5\nn_jobs=12\nfemale_rate=0.4\n"
+                   "size_exponent=2.0\nmax_group_size=3\n")
     out = tmp_path / "sim"
     rc = cli.main(["simulate", "--out", str(out), "--config", str(cfg),
-                   "--seed", "9"])
+                   "--seed", "9", "--size-exponent", "0.5"])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 9          # flag wins
     assert manifest["config"]["n_jobs"] == 12       # file beats default
     assert manifest["config"]["female_rate"] == 0.4
+    assert manifest["config"]["group_size_law"] == {"exponent": 0.5, "max_size": 3}
 
 
 def test_simulate_unknown_config_key_is_usage_error(tmp_path):
@@ -167,6 +169,7 @@ def test_diagnose_reruns_on_stored_draws(sim_and_fit, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     for path in traces:
         assert manifest["outputs"]["traces/" + path.name] == sha(path)
+    assert manifest["inputs"] == {str(fit / "metadata.json"): sha(fit / "metadata.json")}
     assert manifest["outputs"]["diagnostics.csv"] == sha(out / "diagnostics.csv")
     with open(out / "diagnostics.csv") as fh:
         header = fh.readline().strip()
@@ -247,6 +250,9 @@ def test_report_zero_slopes_header_is_exactly_one(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["adjusted_cents_to_dollar"] == pytest.approx(1.0, abs=1e-12)
     assert report["raises"] == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    meta = draws_dir / "metadata.json"
+    assert manifest["inputs"][str(meta)] == sha(meta)
 
 
 def test_report_digest_mismatch_is_usage_error(tmp_path):
@@ -289,6 +295,8 @@ def test_compare_writes_table(sim_and_fit, tmp_path, capsys):
     assert len(rows) == 1 + index.n_job_geo
     sizes = [int(r[1]) for r in rows[1:]]
     assert sizes == sorted(sizes)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"][str(fit / "metadata.json")] == sha(fit / "metadata.json")
 
 
 def test_compare_single_gender_groups_have_empty_lm_cells(sim_and_fit, tmp_path):

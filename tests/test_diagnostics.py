@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from payequity import diagnostics
 from payequity.diagnostics import (convergence_report, effective_sample_size,
                                    export_traces, format_diagnostics_text,
                                    split_rhat, write_diagnostics_csv)
@@ -31,6 +32,10 @@ def test_split_rhat_hand_computed_value():
     r = split_rhat([np.array([1.0, 2.0, 3.0, 4.0]),
                     np.array([1.0, 2.0, 3.0, 4.0])])
     assert r == pytest.approx(math.sqrt((19.0 / 12.0) / 0.5), rel=1e-12)
+    # odd length: the middle draw is dropped, giving the same four segments
+    r_odd = split_rhat([np.array([1.0, 2.0, 99.0, 3.0, 4.0]),
+                        np.array([1.0, 2.0, -99.0, 3.0, 4.0])])
+    assert r_odd == r
 
 
 def test_split_rhat_near_one_for_iid_chains():
@@ -125,9 +130,9 @@ def test_convergence_report_flags_only_bad_parameters():
     chains = [np.column_stack([good_a, bad_a]),
               np.column_stack([good_b, bad_b])]
     summary = convergence_report(chains, ["good", "bad"], threshold=1.1)
-    by_name = {e.name: e for e in summary.entries}
-    assert not by_name["good"].flagged
-    assert by_name["bad"].flagged
+    assert summary.names == ["good", "bad"]
+    assert not summary.flagged[0]
+    assert summary.flagged[1]
     assert summary.n_flagged == 1
     assert summary.flagged_fraction == pytest.approx(0.5)
     assert summary.flagged_names() == ["bad"]
@@ -141,11 +146,74 @@ def test_convergence_report_zero_variance_marker():
     chains = [np.column_stack([frozen, moving]),
               np.column_stack([frozen, moving])]
     summary = convergence_report(chains, ["frozen", "moving"])
-    by_name = {e.name: e for e in summary.entries}
-    assert by_name["frozen"].zero_variance
-    assert by_name["frozen"].rhat == 1.0
-    assert by_name["frozen"].ess == 2 * n
-    assert not by_name["moving"].zero_variance
+    frozen, moving = summary.names.index("frozen"), summary.names.index("moving")
+    assert summary.zero_variance[frozen]
+    assert summary.rhat[frozen] == 1.0
+    assert summary.ess[frozen] == 2 * n
+    assert not summary.zero_variance[moving]
+
+
+def loop_rhat_ess(chains):
+    """Split R-hat, ESS and Geyer's stopping lag of one parameter,
+    written out with plain loops and a direct-sum autocovariance."""
+    n_draws = len(chains[0])
+    n = n_draws // 2
+    segs = []
+    for c in chains:
+        segs.append(np.array(c[:n], dtype=float))
+        segs.append(np.array(c[n_draws - n:], dtype=float))
+    m = len(segs)
+    means = [sum(s) / n for s in segs]
+    W = sum(sum((v - mu) ** 2 for v in s) / (n - 1) for s, mu in zip(segs, means)) / m
+    grand = sum(means) / m
+    B = n * sum((mu - grand) ** 2 for mu in means) / (m - 1)
+    var_plus = (n - 1) / n * W + B / n
+    tiny = (1e-14 * max(1.0, max(abs(v) for s in segs for v in s))) ** 2
+    rhat = 1.0 if W <= tiny else math.sqrt(var_plus / W)
+    if var_plus <= tiny:
+        return rhat, float(m * n), 0
+    acov = [0.0] * n
+    for s, mu in zip(segs, means):
+        xc = s - mu
+        for t in range(n):
+            acov[t] += float(np.dot(xc[:n - t], xc[t:])) / n / m
+    rho = [1.0 - (W - a) / var_plus for a in acov]
+    tau, t = 1.0, 1
+    while t + 1 < n and rho[t] + rho[t + 1] > 0.0:
+        tau += 2.0 * (rho[t] + rho[t + 1])
+        t += 2
+    return rhat, min(max(m * n / tau, 0.0), float(m * n)), t
+
+
+def test_convergence_report_matches_loop_oracle(monkeypatch):
+    # odd length, three chains; each column stops Geyer's sum at its own lag
+    n, rng = 501, np.random.default_rng(13)
+    chains = []
+    for k in range(3):
+        chains.append(np.column_stack([
+            ar1_chain(0.9, n, 30 + k),                       # slow mixing
+            rng.standard_normal(n),                          # i.i.d.
+            ar1_chain(-0.6, n, 40 + k),                      # antithetic
+            np.full(n, 2.5),                                 # constant
+            1e6 * (1.0 + 1e-16 * rng.standard_normal(n)),    # float noise
+        ]))
+    names = ["ar1", "iid", "antithetic", "constant", "noise"]
+    summary = convergence_report(chains, names)
+    # blocks of two parameters give the same columns
+    monkeypatch.setattr(diagnostics, "_BLOCK_DRAWS", 2 * 3 * n)
+    blocked = convergence_report(chains, names)
+    assert np.array_equal(blocked.rhat, summary.rhat)
+    assert np.array_equal(blocked.ess, summary.ess)
+    stops = []
+    for k in range(len(names)):
+        rhat, ess, stop = loop_rhat_ess([c[:, k] for c in chains])
+        assert summary.rhat[k] == pytest.approx(rhat, rel=1e-12, abs=0.0)
+        assert summary.ess[k] == pytest.approx(ess, rel=1e-12, abs=0.0)
+        stops.append(stop)
+    assert stops[0] > 10 and stops[2] == 1   # one batch, different stopping lags
+    assert summary.rhat[3] == summary.rhat[4] == 1.0
+    assert summary.ess[3] == summary.ess[4] == 3 * 2 * (n // 2)
+    assert list(summary.zero_variance) == [False, False, False, True, False]
 
 
 def test_convergence_report_preconditions():

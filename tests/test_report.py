@@ -281,6 +281,27 @@ def test_dollar_gaps_from_pairs():
         assert s.median_gap_usd > 0  # women predicted lower here
 
 
+def test_dollar_gaps_per_group_with_interleaved_workers():
+    # groups of 3, 2, 4 and 1 workers, interleaved in file order
+    jobs = ["jobA", "jobB", "jobA", "jobD", "jobC", "jobB", "jobD", "jobA", "jobD", "jobD"]
+    records = workforce([make_record(i, job=job) for i, job in enumerate(jobs)])
+    index = records.index
+    G, J = index.n_gjs_geo, index.n_job_geo
+    rng = np.random.default_rng(14)
+    pred = Predictions(worker_id=records.worker_id,
+                       y_hat_female=rng.uniform(5e4, 6e4, records.n),
+                       y_hat_male=rng.uniform(5e4, 6e4, records.n),
+                       mean_log=np.zeros(records.n))
+    draws = FakeDraws(G, J, [natural_row(G, J)] * 2)
+    summaries = group_gap_summaries(draws, records, predictions=pred)
+    assert [s.n_workers for s in summaries] == [3, 2, 4, 1]
+    gaps = pred.y_hat_male - pred.y_hat_female
+    for s in summaries:
+        member_gaps = gaps[index.j_of == s.job_geo]
+        assert s.median_gap_usd == np.median(member_gaps)
+        assert s.mean_gap_usd == pytest.approx(np.mean(member_gaps), rel=1e-12)
+
+
 # ------------------------------------------------------------------- raises
 
 def make_summary(job_geo, effect_mean, significant, label="jobA|geo0"):
