@@ -98,13 +98,15 @@ class ChainState:
     accept_stats: AcceptStats = field(default_factory=AcceptStats)
 
 
-def leapfrog(position, momentum, step_size, n_steps, gradient_fn, inv_mass_diag=None):
+def leapfrog(position, momentum, step_size, n_steps, logp_and_grad, inv_mass_diag=None):
     """Leapfrog integration under kinetic energy 0.5 * p' M^-1 p.
 
-    Returns (position', momentum', diverged).  A non-finite position or
-    gradient anywhere along the trajectory sets diverged and stops
-    integrating; the partial state is returned for the caller to
-    reject.
+    logp_and_grad(q) returns (log density, gradient) at q.  Returns
+    (position', momentum', logp', diverged), where logp' is the log
+    density at position', from the evaluation that gave its gradient.
+    A non-finite position or gradient anywhere along the trajectory
+    sets diverged and stops integrating; the partial state is returned
+    for the caller to reject, with logp' = -inf.
     """
     if step_size <= 0.0 or n_steps < 1:
         raise ContractViolation("leapfrog needs step_size > 0 and n_steps >= 1")
@@ -113,23 +115,23 @@ def leapfrog(position, momentum, step_size, n_steps, gradient_fn, inv_mass_diag=
     inv_m = np.ones_like(q) if inv_mass_diag is None else np.asarray(inv_mass_diag, dtype=float)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        g = gradient_fn(q)
+        _, g = logp_and_grad(q)
         if not np.all(np.isfinite(g)):
-            return q, p, True
+            return q, p, -math.inf, True
         p = p + 0.5 * step_size * g
         for step in range(n_steps):
             q = q + step_size * inv_m * p
             if not np.all(np.isfinite(q)):
-                return q, p, True
-            g = gradient_fn(q)
+                return q, p, -math.inf, True
+            logp, g = logp_and_grad(q)
             if not np.all(np.isfinite(g)):
-                return q, p, True
+                return q, p, -math.inf, True
             if step < n_steps - 1:
                 p = p + step_size * g
                 if not np.all(np.isfinite(p)):
-                    return q, p, True
+                    return q, p, -math.inf, True
         p = p + 0.5 * step_size * g
-    return q, p, False
+    return q, p, logp, False
 
 
 def _kinetic(p: np.ndarray, inv_mass_diag: np.ndarray) -> float:
@@ -153,13 +155,11 @@ def hmc_transition(state: ChainState, model, n_steps: int) -> ChainState:
     u = rng.random()
 
     h0 = -state.logp + _kinetic(p0, state.inv_mass_diag)
-    grad_fn = lambda q: model.logp_and_grad(q)[1]
-    q1, p1, diverged = leapfrog(
-        state.position, p0, state.step_size, steps, grad_fn, state.inv_mass_diag)
+    q1, p1, logp1, diverged = leapfrog(
+        state.position, p0, state.step_size, steps, model.logp_and_grad, state.inv_mass_diag)
 
     accept_prob = 0.0
     if not diverged:
-        logp1, _ = model.logp_and_grad(q1)
         h1 = -logp1 + _kinetic(p1, state.inv_mass_diag)
         delta_h = h1 - h0
         if not math.isfinite(delta_h) or delta_h > DIVERGENCE_ENERGY:
@@ -217,14 +217,11 @@ def find_initial_step(model, position, inv_mass_diag, rng, initial: float = 1.0)
     if not math.isfinite(logp0):
         raise AdaptationError("cannot initialize step size from a non-finite state")
     h0 = -logp0 + _kinetic(p0, inv_mass_diag)
-    grad_fn = lambda q: model.logp_and_grad(q)[1]
 
     def energy_error(eps: float) -> float:
-        q1, p1, diverged = leapfrog(position, p0, eps, 1, grad_fn, inv_mass_diag)
-        if diverged:
-            return math.inf
-        logp1, _ = model.logp_and_grad(q1)
-        if not math.isfinite(logp1):
+        _, p1, logp1, diverged = leapfrog(
+            position, p0, eps, 1, model.logp_and_grad, inv_mass_diag)
+        if diverged or not math.isfinite(logp1):
             return math.inf
         return (-logp1 + _kinetic(p1, inv_mass_diag)) - h0
 

@@ -42,20 +42,19 @@ def test_leapfrog_free_particle_moves_linearly():
     # zero gradient: q advances by eps * n * p, momentum unchanged
     q0 = np.array([1.0, -2.0])
     p0 = np.array([0.5, 2.0])
-    q, p, diverged = leapfrog(q0, p0, 0.1, 10, lambda q: np.zeros_like(q))
-    assert not diverged
+    q, p, logp, diverged = leapfrog(q0, p0, 0.1, 10, lambda q: (0.0, np.zeros_like(q)))
+    assert not diverged and logp == 0.0
     np.testing.assert_allclose(q, q0 + 1.0 * p0, atol=1e-12)
     np.testing.assert_allclose(p, p0, atol=1e-12)
 
 
 def test_leapfrog_is_reversible():
     target = GaussianTarget([[1.0, 0.7], [0.7, 2.0]])
-    grad = lambda q: target.logp_and_grad(q)[1]
     rng = np.random.default_rng(3)
     q0 = rng.standard_normal(2)
     p0 = rng.standard_normal(2)
-    q1, p1, d1 = leapfrog(q0, p0, 0.15, 25, grad)
-    q2, p2, d2 = leapfrog(q1, -p1, 0.15, 25, grad)
+    q1, p1, _, d1 = leapfrog(q0, p0, 0.15, 25, target.logp_and_grad)
+    q2, p2, _, d2 = leapfrog(q1, -p1, 0.15, 25, target.logp_and_grad)
     assert not (d1 or d2)
     np.testing.assert_allclose(q2, q0, atol=1e-8)
     np.testing.assert_allclose(-p2, p0, atol=1e-8)
@@ -64,12 +63,11 @@ def test_leapfrog_is_reversible():
 def test_leapfrog_energy_error_is_second_order():
     # halving the step size should cut the energy error by about 4x
     target = GaussianTarget([[1.0, 0.0], [0.0, 1.0]])
-    grad = lambda q: target.logp_and_grad(q)[1]
     q0 = np.array([1.3, -0.4])
     p0 = np.array([0.6, 1.1])
 
     def energy_err(eps, n):
-        q, p, _ = leapfrog(q0, p0, eps, n, grad)
+        q, p, _, _ = leapfrog(q0, p0, eps, n, target.logp_and_grad)
         h = lambda qq, pp: -target.logp_and_grad(qq)[0] + 0.5 * pp @ pp
         return abs(h(q, p) - h(q0, p0))
 
@@ -81,19 +79,19 @@ def test_leapfrog_energy_error_is_second_order():
 
 def test_leapfrog_flags_nonfinite_as_divergent():
     # gradient that explodes off the cliff at |q| > 2
-    def grad(q):
+    def logp_and_grad(q):
         if np.any(np.abs(q) > 2.0):
-            return np.array([np.nan])
-        return -q * 1e6
-    q, p, diverged = leapfrog(np.array([1.0]), np.array([10.0]), 5.0, 8, grad)
-    assert diverged
+            return -math.inf, np.array([np.nan])
+        return -5e5 * float(q @ q), -q * 1e6
+    q, p, logp, diverged = leapfrog(np.array([1.0]), np.array([10.0]), 5.0, 8, logp_and_grad)
+    assert diverged and logp == -math.inf
 
 
 def test_leapfrog_rejects_bad_args():
     with pytest.raises(ContractViolation):
-        leapfrog(np.zeros(1), np.zeros(1), 0.0, 5, lambda q: q)
+        leapfrog(np.zeros(1), np.zeros(1), 0.0, 5, lambda q: (0.0, q))
     with pytest.raises(ContractViolation):
-        leapfrog(np.zeros(1), np.zeros(1), 0.1, 0, lambda q: q)
+        leapfrog(np.zeros(1), np.zeros(1), 0.1, 0, lambda q: (0.0, q))
 
 
 # --------------------------------------------------------------- transition
@@ -131,6 +129,47 @@ def test_divergent_transition_rejected_and_counted():
         hmc_transition(chain, target, 4)
     assert chain.accept_stats.divergences == 5
     np.testing.assert_array_equal(chain.position, start)
+
+
+class CountingTarget(GaussianTarget):
+    """GaussianTarget that counts its density evaluations."""
+
+    def __init__(self, cov):
+        super().__init__(cov)
+        self.calls = 0
+
+    def logp_and_grad(self, v):
+        self.calls += 1
+        return super().logp_and_grad(v)
+
+
+def test_transition_evaluates_once_per_step_plus_start_gradient():
+    # the chain's generator draws the step jitter first, so a twin
+    # generator with the same key gives the step count of each transition
+    target = CountingTarget([[1.0, 0.3], [0.3, 0.5]])
+    for seed, n_steps in ((4, 1), (5, 2), (6, 8), (7, 16)):
+        chain = fresh_chain(2, seed=seed, step=0.05)
+        chain.logp = target.logp_and_grad(chain.position)[0]
+        twin = np.random.Generator(np.random.Philox(key=seed))
+        steps = max(1, int(round(n_steps * twin.uniform(0.8, 1.2))))
+        target.calls = 0
+        hmc_transition(chain, target, n_steps)
+        assert chain.accept_stats.divergences == 0
+        assert target.calls == steps + 1
+
+
+def test_accepted_state_logp_equals_fresh_evaluation():
+    target = GaussianTarget([[1.0, 0.6], [0.6, 2.0]])
+    chain = fresh_chain(2, seed=8, step=0.2)
+    chain.logp = target.logp_and_grad(chain.position)[0]
+    moved = 0
+    for _ in range(20):
+        before = chain.position
+        hmc_transition(chain, target, 8)
+        if chain.position is not before:
+            moved += 1
+            assert chain.logp == target.logp_and_grad(chain.position)[0]
+    assert moved > 10
 
 
 def test_gaussian_moments_recovered():
