@@ -11,7 +11,7 @@ from payequity.records import Workforce
 from payequity.synthetic import (GroupSizeLaw, PopulationTruth, SynthConfig,
                                  generate_synthetic)
 
-from test_records import take
+from test_records import make_record, take, workforce
 
 
 def tiny_fixture(n_records=10, seed=7):
@@ -157,6 +157,144 @@ def test_record_permutation_leaves_density_unchanged():
     v_b[tail:] = v[tail:]
     assert model_b.log_posterior(v_b) == pytest.approx(
         model_a.log_posterior(v), rel=1e-12)
+
+
+def per_worker_logp_and_grad(v, model):
+    """Log density and gradient summed worker by worker.
+
+    Written from the model's definition with plain numpy: one residual
+    per worker, accumulated into the groups with np.add.at.  Shares no
+    code with the model's cell statistics.
+    """
+    lay, spec, wf = model.layout, model.spec, model.wf
+    g_of, j_of = wf.index.g_of, wf.index.j_of
+    f = wf.female.astype(float)
+    X = np.column_stack([wf.recent, wf.past, wf.tenure])
+    z = [v[block] for block in lay.random_effects()]
+    mu = v[lay.hyper_mu]
+    ls = v[lay.hyper_log_sigma]
+    scales = np.exp(ls)
+    beta = v[lay.fixed]
+    ls_res = v[lay.log_sigma_resid][0]
+    var = math.exp(2.0 * ls_res)
+    b0g, b1g, b0j, b1j = (m + s * zk for m, s, zk in zip(mu, scales, z))
+    resid = wf.log_salary - (b0g[g_of] + b0j[j_of] + f * (b1g[g_of] + b1j[j_of]) + X @ beta)
+
+    half_log_2pi = 0.5 * math.log(2.0 * math.pi)
+    s_mu, s_sig, s_res = (spec.hyperprior_mu_scale, spec.hyperprior_sigma_scale,
+                          spec.residual_sigma_prior_scale)
+    s_fixed = np.array(spec.fixed_effect_prior_scales)
+    logp = (np.sum(-half_log_2pi - ls_res - 0.5 * resid ** 2 / var)
+            + sum(np.sum(-half_log_2pi - 0.5 * zk ** 2) for zk in z)
+            + np.sum(-half_log_2pi - math.log(s_mu) - 0.5 * (mu / s_mu) ** 2)
+            + np.sum(math.log(2.0) - half_log_2pi - math.log(s_sig)
+                     - 0.5 * (scales / s_sig) ** 2 + ls)
+            + np.sum(-half_log_2pi - np.log(s_fixed) - 0.5 * (beta / s_fixed) ** 2)
+            + math.log(2.0) - half_log_2pi - math.log(s_res)
+            - 0.5 * var / s_res ** 2 + ls_res)
+
+    w = resid / var                     # d logp / d eta, per worker
+    per_group = []
+    for of, size, weight in ((g_of, lay.G, w), (g_of, lay.G, f * w),
+                             (j_of, lay.J, w), (j_of, lay.J, f * w)):
+        total = np.zeros(size)
+        np.add.at(total, of, weight)
+        per_group.append(total)
+    grad = np.empty(lay.dim)
+    for k, block in enumerate(lay.random_effects()):
+        grad[block] = scales[k] * per_group[k] - z[k]
+    grad[lay.hyper_mu] = np.array([t.sum() for t in per_group]) - mu / s_mu ** 2
+    grad[lay.hyper_log_sigma] = (scales * np.array([t @ zk for t, zk in zip(per_group, z)])
+                                 + 1.0 - (scales / s_sig) ** 2)
+    grad[lay.fixed] = X.T @ w - beta / s_fixed ** 2
+    grad[lay.log_sigma_resid] = -wf.n + np.sum(resid ** 2) / var + 1.0 - var / s_res ** 2
+    return float(logp), grad
+
+
+def assert_matches_per_worker(model, v, rel):
+    lp, grad = model.logp_and_grad(v)
+    lp_ref, grad_ref = per_worker_logp_and_grad(v, model)
+    assert lp == pytest.approx(lp_ref, rel=rel, abs=0.0)
+    assert np.max(np.abs(grad - grad_ref)) <= rel * np.max(np.abs(grad_ref))
+
+
+def test_cell_density_matches_per_worker_oracle_on_tiny_fixture(tiny_model):
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        v = state_at_prior_scale(tiny_model.layout, tiny_model.spec, rng)
+        assert_matches_per_worker(tiny_model, v, 1e-12)
+
+
+def test_cell_density_exact_when_jobs_do_not_nest():
+    # job0|geo0 has workers under two GJS-geos (E3 and E4)
+    rng = np.random.default_rng(12)
+    rows = [make_record(i, gjs=gjs, job=job, geo=geo, female=bool(fem),
+                        recent_perf=float(rng.standard_normal()),
+                        past_perf=float(rng.standard_normal()),
+                        time_in_job=float(rng.exponential(3.0)),
+                        salary=float(np.exp(11.0 + 0.3 * rng.standard_normal())))
+            for i, (gjs, job, geo, fem) in enumerate([
+                ("E3", "job0", "geo0", 0), ("E3", "job0", "geo0", 1),
+                ("E4", "job0", "geo0", 0), ("E4", "job0", "geo0", 1),
+                ("E4", "job0", "geo0", 1), ("E3", "job1", "geo0", 0),
+                ("E3", "job1", "geo0", 1), ("E4", "job2", "geo1", 0),
+                ("E3", "job2", "geo1", 1), ("E4", "job2", "geo1", 0)])]
+    wf = workforce(rows)
+    pairs = set(zip(wf.index.j_of.tolist(), wf.index.g_of.tolist()))
+    assert len(pairs) > wf.index.n_job_geo          # some job-geo sits under two GJS-geos
+    model = HierarchicalModel(wf, ModelSpec())
+    assert model.cells.n.size == len(set(zip(wf.index.g_of.tolist(), wf.index.j_of.tolist(),
+                                             wf.female.tolist())))
+    for _ in range(10):
+        assert_matches_per_worker(model, state_at_prior_scale(model.layout, model.spec, rng),
+                                  1e-12)
+
+
+def test_cell_density_with_single_gender_groups_and_one_worker_cells():
+    rng = np.random.default_rng(13)
+    layout = [("job0", 1), ("job0", 1), ("job0", 1),     # all-female group
+              ("job1", 0),                               # one man alone
+              ("job2", 1), ("job2", 0),                  # one worker per cell
+              ("job3", 0), ("job3", 0)]                  # all-male group
+    rows = [make_record(i, job=job, female=bool(fem),
+                        recent_perf=float(rng.standard_normal()),
+                        past_perf=float(rng.standard_normal()),
+                        time_in_job=float(rng.exponential(3.0)),
+                        salary=float(np.exp(11.0 + 0.3 * rng.standard_normal())))
+            for i, (job, fem) in enumerate(layout)]
+    model = HierarchicalModel(workforce(rows), ModelSpec())
+    assert sorted(model.cells.n.tolist()) == [1, 1, 1, 2, 3]
+    for _ in range(10):
+        assert_matches_per_worker(model, state_at_prior_scale(model.layout, model.spec, rng),
+                                  1e-12)
+
+
+def test_cell_density_survives_a_high_salary_level_and_a_tiny_residual_scale():
+    # Log salaries near 22.5 with residuals near 1e-3, evaluated at the
+    # generating values: raw (uncentered) sums of squares would lose
+    # about eight digits to cancellation here.
+    wf, truth = generate_synthetic(SynthConfig(
+        n_geos=2, n_gjs=2, n_jobs=4, group_size_law=GroupSizeLaw(exponent=0.0, max_size=8),
+        residual_scale=1e-3, seed=14))
+    shifted = Workforce.from_columns(wf.worker_id, wf.geo, wf.gjs, wf.job, wf.female,
+                                     wf.recent, wf.past, wf.tenure, wf.salary,
+                                     log_salary=wf.log_salary + 12.0)
+    model = HierarchicalModel(shifted, ModelSpec())
+    lay, index = model.layout, shifted.index
+    # unit scales and zero means, so each z block holds natural effects
+    v = np.zeros(lay.dim)
+    g_labels = [index.gjs_geo_label(g) for g in range(lay.G)]
+    j_labels = [index.job_geo_label(j) for j in range(lay.J)]
+    v[lay.z_intercept_g] = [truth[f"beta0_g[{g}]"] + 12.0 for g in g_labels]
+    v[lay.z_slope_g] = [truth[f"beta1_g[{g}]"] for g in g_labels]
+    v[lay.z_intercept_j] = [truth[f"beta0_j[{j}]"] for j in j_labels]
+    v[lay.z_slope_j] = [truth[f"beta1_j[{j}]"] for j in j_labels]
+    v[lay.fixed] = [truth["beta2"], truth["beta3"], truth["beta4"]]
+    rng = np.random.default_rng(15)
+    for k in range(5):
+        v[lay.log_sigma_resid] = math.log(1e-3) + 0.1 * k
+        state = v + 1e-4 * k * rng.standard_normal(lay.dim)
+        assert_matches_per_worker(model, state, 1e-9)
 
 
 def test_prior_dominates_far_from_origin(tiny_model):
