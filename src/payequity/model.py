@@ -204,24 +204,28 @@ def natural_param_names(index: FactorIndex) -> list[str]:
     return names
 
 
-def _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, wf: Workforce, female):
-    """Linear predictor of log salary for every worker of wf.
+def _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, wf: Workforce, female,
+                      rows=slice(None)):
+    """Linear predictor of log salary for the workers rows of wf.
 
-    The effects are either one state's (G,), (J,) and (3,) vectors,
-    giving (n,), or one row per draw, (D, G), (D, J) and (D, 3), giving
-    (D, n).  Every worker is predicted at one gender: female if female
-    is true, male otherwise.  The density works from cell statistics instead (see
-    CellStats); the two agree to rounding.  Private, so that the
-    benchmark's traced runs count its time in the report.
+    rows is a slice of workers, all of them by default; m below is the
+    number it selects.  The effects are either one state's (G,), (J,)
+    and (3,) vectors, giving (m,), or one row per draw, (D, G), (D, J)
+    and (D, 3), giving (D, m).  A worker's entries do not depend on
+    which other workers rows selects.  Every worker is predicted at one
+    gender: female if female is true, male otherwise.  The density
+    works from cell statistics instead (see CellStats); the two agree
+    to rounding.  Private, so that the benchmark's traced runs count
+    its time in the report.
     """
-    g_of, j_of = wf.index.g_of, wf.index.j_of
-    # Built as (n, D), so that every gather, product and sum runs over
-    # contiguous rows, and returned as its (D, n) transpose.
+    g_of, j_of = wf.index.g_of[rows], wf.index.j_of[rows]
+    # Built as (m, D), so that every gather, product and sum runs over
+    # contiguous rows, and returned as its (D, m) transpose.
     eta = beta0_g.T[g_of] + beta0_j.T[j_of]
     if female:  # a male prediction has no gender term
         eta += beta1_g.T[g_of] + beta1_j.T[j_of]
     for k, covariate in enumerate((wf.recent, wf.past, wf.tenure)):
-        eta += np.multiply.outer(covariate, fixed[..., k])
+        eta += np.multiply.outer(covariate[rows], fixed[..., k])
     return eta.T
 
 

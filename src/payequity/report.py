@@ -10,6 +10,13 @@ draws (a mean of exponentials, not the exponential of the mean); the
 two differ by Jensen's inequality and the former is the posterior
 mean on the dollar scale. No residual noise is added: the estimand
 is expected salary given the worker's covariates and group.
+
+The working memory does not grow with the draws x workers product:
+the predictor is built for one block of workers at a time, and the
+group-effect draws for one block of job-geo groups at a time, each
+block holding about _BLOCK_VALUES values.  Every worker's or group's
+reduction over draws runs along one contiguous row of its block, so the
+block size and the block boundaries do not change a bit of the output.
 """
 
 import csv
@@ -20,6 +27,10 @@ import numpy as np
 
 from .errors import ContractViolation
 from .model import ParamLayout, _linear_predictor
+
+# Values per block of (workers, draws) predictor or (groups, draws)
+# group effects: 2 MB of float64.
+_BLOCK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -86,13 +97,16 @@ def counterfactual_predictions(draws, wf):
             "draws were produced for G=%d, J=%d but index has G=%d, J=%d"
             % (draws.G, draws.J, index.n_gjs_geo, index.n_job_geo))
     blocks = _natural_blocks(draws)
-    y_hat, mean_log = [], []
-    # one (draws, workers) matrix at a time keeps the peak memory down
-    for female in (1.0, 0.0):
-        eta = _linear_predictor(*blocks, wf, female)
-        mean_log.append(eta.mean(axis=0))
-        y_hat.append(np.exp(eta).mean(axis=0))
-        del eta
+    # row 0 at female, row 1 at male
+    y_hat, mean_log = np.empty((2, wf.n)), np.empty((2, wf.n))
+    n_draws = len(blocks[0])
+    step = max(1, _BLOCK_VALUES // n_draws)
+    for start in range(0, wf.n, step):
+        rows = slice(start, start + step)
+        for k, female in enumerate((1.0, 0.0)):
+            eta = _linear_predictor(*blocks, wf, female, rows).T   # (workers, draws)
+            mean_log[k, rows] = eta.mean(axis=1)
+            y_hat[k, rows] = np.exp(eta, out=eta).mean(axis=1)
     return Predictions(
         worker_id=wf.worker_id,
         y_hat_female=y_hat[0],
@@ -131,12 +145,18 @@ def group_gap_summaries(draws, wf, interval_mass=0.95, predictions=None):
     index = wf.index
     J = index.n_job_geo
     _, beta1_g, _, beta1_j, _ = _natural_blocks(draws)
-    # (J, draws), so that every reduction over draws runs along a row
-    eff = np.ascontiguousarray((beta1_g[:, index.gjs_geo_of_job_geo()] + beta1_j).T)
+    gjs_geo_of = index.gjs_geo_of_job_geo()
     alpha = (1.0 - interval_mass) / 2.0
-    lo, hi = np.quantile(eff, [alpha, 1.0 - alpha], axis=1)
-    mean = eff.mean(axis=1)
-    sd = eff.std(axis=1, ddof=1) if eff.shape[1] > 1 else np.zeros(J)
+    n_draws = len(beta1_j)
+    mean, sd, lo, hi = np.empty((4, J))
+    step = max(1, _BLOCK_VALUES // n_draws)
+    for start in range(0, J, step):
+        groups = slice(start, start + step)
+        # (groups, draws), so that every reduction over draws runs along a row
+        eff = np.ascontiguousarray((beta1_g[:, gjs_geo_of[groups]] + beta1_j[:, groups]).T)
+        lo[groups], hi[groups] = np.quantile(eff, [alpha, 1.0 - alpha], axis=1)
+        mean[groups] = eff.mean(axis=1)
+        sd[groups] = eff.std(axis=1, ddof=1) if n_draws > 1 else 0.0
 
     sizes = index.group_sizes
     med_gap = mean_gap = np.full(J, np.nan)

@@ -39,9 +39,12 @@ from test_records import make_record, workforce
 # intercept-scale hyperparameters on some seeds, and a smaller
 # residual scale does the same through the GJS-geo block, whose 10
 # intercepts are strongly identified at any group-size law. The
-# sampler settings and base seed were chosen on a seed matrix; with
-# this geometry most seeds converge with wide margins and the pinned
-# one reaches split R-hat ~1.01 with effective sizes in the hundreds.
+# sampler settings and base seed were chosen on a seed matrix, but
+# convergence still turns on the base seed: with only base_seed
+# changed, the per-worker density of earlier versions failed at base
+# seeds 32 and 34 (max split R-hat 1.52 and 1.48), and the cell
+# density fails at 32 (1.66). The pinned seed reaches max split R-hat
+# 1.0115 with min ESS 44, so criterion 3 passes with little margin.
 WORKFORCE = SynthConfig(
     n_geos=5, n_gjs=2, n_jobs=10,
     group_size_law=GroupSizeLaw(exponent=1.5, max_size=2000),

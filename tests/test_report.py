@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from payequity import report
 from payequity.errors import ContractViolation
+from payequity.records import Workforce
 from payequity.report import (GapReport, Predictions,
                               adjusted_cents_to_dollar, build_gap_report,
                               counterfactual_predictions, fit_metrics,
@@ -445,3 +448,90 @@ def test_report_json_roundtrip(tmp_path):
     assert loaded["n_groups"] == len(report.summaries)
     assert len(loaded["groups"]) == len(report.summaries)
     assert {"job_geo", "n", "effect_mean", "significant"} <= set(loaded["groups"][0])
+
+
+# ------------------------------------------------------------ block sizes
+
+def interleaved_three_gjs_data():
+    """23 workers in 7 job-geo groups under two GJS-geos, interleaved in
+    file order: two single-worker groups (one female, one male), one
+    all-female group and four mixed ones."""
+    sizes = {"jobA": 1, "jobB": 1, "jobC": 2, "jobD": 3, "jobE": 4, "jobF": 5, "jobG": 7}
+    jobs = [job for job, size in sizes.items() for _ in range(size)]
+    jobs = [jobs[i] for i in np.random.default_rng(15).permutation(len(jobs))]
+    rng = np.random.default_rng(16)
+    rows = [make_record(i, job=job, gjs="E3" if job < "jobE" else "E4",
+                        female=(job in ("jobA", "jobC") or
+                                (job != "jobB" and bool(rng.integers(2)))),
+                        recent_perf=rng.normal(), past_perf=rng.normal(),
+                        time_in_job=rng.uniform(0, 5))
+            for i, job in enumerate(jobs)]
+    records = workforce(rows)
+    return records, records.index
+
+
+def random_draws(index, n_draws, seed):
+    """Draws whose female effects are mostly negative, so that some
+    groups come out significant and get raises."""
+    G, J = index.n_gjs_geo, index.n_job_geo
+    rng = np.random.default_rng(seed)
+    rows = [natural_row(G, J, beta0_g=rng.normal(10.0, 0.1, G),
+                        beta1_g=rng.normal(-0.08, 0.02, G),
+                        beta0_j=rng.normal(0.0, 0.2, J), beta1_j=rng.normal(0.0, 0.03, J),
+                        beta2=rng.normal(0.05, 0.01), beta3=rng.normal(0.02, 0.01),
+                        beta4=rng.normal(0.01, 0.005))
+            for _ in range(n_draws)]
+    return FakeDraws(G, J, rows)
+
+
+@pytest.mark.parametrize("data", [two_group_data, interleaved_three_gjs_data])
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+def test_block_size_does_not_change_a_bit(monkeypatch, data, per_block):
+    # One worker or group per block, and blocks of 2 and 3, which leave a
+    # ragged last block of workers on both workforces and of groups on
+    # the 7-group one.
+    records, index = data()
+    n_draws = 30
+    draws = random_draws(index, n_draws, seed=per_block)
+    expected_pred = counterfactual_predictions(draws, records)
+    expected = build_gap_report(draws, records)
+    assert max(records.n, index.n_job_geo) * n_draws < report._BLOCK_VALUES
+    assert expected.raises and any(s.significant for s in expected.summaries)
+
+    monkeypatch.setattr(report, "_BLOCK_VALUES", per_block * n_draws)
+    pred = counterfactual_predictions(draws, records)
+    for field in ("y_hat_female", "y_hat_male", "mean_log"):
+        assert getattr(pred, field).tobytes() == getattr(expected_pred, field).tobytes()
+    got = build_gap_report(draws, records)
+    assert got.summaries == expected.summaries
+    assert got.raises == expected.raises
+    assert got == expected
+
+
+def test_report_memory_does_not_grow_with_draws_times_workers():
+    # 20,000 workers in 4,000 job-geo groups under 20 GJS-geos, 400 draws:
+    # one (draws, workers) float64 matrix is 64 MB, and the group
+    # effects alone 12.8 MB
+    n, J, G, n_draws = 20_000, 4_000, 20, 400
+    rng = np.random.default_rng(17)
+    job = ["job%04d" % (i % J) for i in range(n)]
+    gjs = ["gjs%02d" % (i % J % G) for i in range(n)]
+    wf = Workforce.from_columns(
+        ["w%05d" % i for i in range(n)], ["geo0"] * n, gjs, job,
+        rng.random(n) < 0.4, rng.normal(size=n), rng.normal(size=n),
+        rng.uniform(0, 5, n), rng.lognormal(11.0, 0.3, n))
+    assert (wf.index.n_gjs_geo, wf.index.n_job_geo) == (G, J)
+    matrix = rng.normal(0.0, 0.05, (n_draws, 2 * G + 2 * J + 12))
+    matrix[:, :G] += 11.0
+    draws = FakeDraws(G, J, matrix)
+    full_matrix = n_draws * n * 8
+
+    tracemalloc.start()
+    try:
+        pred = counterfactual_predictions(draws, wf)
+        summaries = group_gap_summaries(draws, wf, predictions=pred)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(summaries) == J and np.all(pred.y_hat_female > 0.0)
+    assert peak < full_matrix / 4, "traced peak %.1f MB" % (peak / 1e6)
