@@ -205,14 +205,14 @@ def natural_param_names(index: FactorIndex) -> list[str]:
 
 
 def _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, wf: Workforce, female,
-                      rows=slice(None)):
+                      rows):
     """Linear predictor of log salary for the workers rows of wf.
 
-    rows is a slice of workers, all of them by default; m below is the
-    number it selects.  The effects are either one state's (G,), (J,)
-    and (3,) vectors, giving (m,), or one row per draw, (D, G), (D, J)
-    and (D, 3), giving (D, m).  A worker's entries do not depend on
-    which other workers rows selects.  Every worker is predicted at one
+    rows is a slice of workers; m below is the number it selects.  The
+    effects are either one state's (G,), (J,) and (3,) vectors, giving
+    (m,), or one row per draw, (D, G), (D, J) and (D, 3), giving (D, m).
+    A worker's entries do not depend on which other workers rows
+    selects.  Every worker is predicted at one
     gender: female if female is true, male otherwise.  The density
     works from cell statistics instead (see CellStats); the two agree
     to rounding.  Private, so that the benchmark's traced runs count

@@ -75,14 +75,21 @@ def test_metric_missing_from_a_run_is_left_out():
     assert set(s["verdict"]) == {"report_s", "peak_rss_mb"}
 
 
-@pytest.mark.parametrize("change, met", [
-    ([61.0, 60.0, 62.0, 61.0, 60.0, 61.0, 62.0, 61.0, 60.0, 61.0], True),
-    ([400.0, 60.0, 62.0, 61.0, 60.0, 61.0, 62.0, 61.0, 60.0, 61.0], True),    # 9 of 10
-    ([400.0, 330.0, 62.0, 61.0, 60.0, 61.0, 62.0, 61.0, 60.0, 61.0], False),  # a tie: 8
+WON = [61.0, 60.0, 62.0, 61.0, 60.0, 61.0, 62.0, 61.0, 60.0, 61.0]
+
+
+@pytest.mark.parametrize("change, last_run, met", [
+    (WON, {}, True),
+    ([400.0] + WON[1:], {}, True),                     # 9 of 10
+    ([400.0, 330.0] + WON[2:], {}, False),             # a tie: 8
+    (WON, {"failed": 2}, False),                       # one more operation fails
+    (WON, {"correct": False}, False),                  # a run is not correct
 ])
-def test_claim_needs_nine_tenths_of_pairs_and_a_median_gap_over_the_parent_iqr(change, met):
+def test_claim_needs_nine_tenths_of_pairs_a_median_gap_over_the_parent_iqr_and_no_new_failure(
+        change, last_run, met):
     parent = [329.0, 330.0, 328.0, 329.0, 331.0, 329.0, 330.0, 329.0, 328.0, 330.0]
-    runs = {"parent": [run(1.0, p) for p in parent], "change": [run(1.0, c) for c in change]}
+    runs = {"parent": [run(1.0, p) for p in parent],
+            "change": [run(1.0, c) for c in change[:-1]] + [run(1.0, change[-1], **last_run)]}
     s = bench_pairs.summarize(list(range(10)), ["parent first"] * 10, runs, METRICS)
     assert bench_pairs.claim(s, "peak_rss_mb", "lower")["met"] is met
 

@@ -385,8 +385,10 @@ def test_predict_log_salary_hand_case():
     beta0_g, beta1_g = np.full(layout.G, 10.0), np.full(layout.G, 0.5)
     beta0_j, beta1_j = np.full(layout.J, 1.0), np.full(layout.J, -0.25)
     fixed = np.array([0.1, 0.2, 0.3])
-    eta_f = _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, records, 1.0)[0]
-    eta_m = _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, records, 0.0)[0]
+    eta_f = _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, records, 1.0,
+                              slice(None))[0]
+    eta_m = _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, records, 0.0,
+                              slice(None))[0]
     base = (10.0 + 1.0 + 0.1 * records.recent[0] + 0.2 * records.past[0]
             + 0.3 * records.tenure[0])
     assert eta_m == pytest.approx(base, rel=1e-12)
@@ -394,11 +396,12 @@ def test_predict_log_salary_hand_case():
     # one row per draw gives one prediction per draw and worker
     stacked = _linear_predictor(*(np.stack([x, x]) for x in
                                   (beta0_g, beta1_g, beta0_j, beta1_j, fixed)),
-                                records, 1.0)
+                                records, 1.0, slice(None))
     assert stacked.shape == (2, records.n) and stacked[1, 0] == eta_f
     # effects too short for the workforce's group indices are rejected
     with pytest.raises(IndexError):
-        _linear_predictor(beta0_g[:0], beta1_g, beta0_j, beta1_j, fixed, records, 1.0)
+        _linear_predictor(beta0_g[:0], beta1_g, beta0_j, beta1_j, fixed, records, 1.0,
+                          slice(None))
 
 
 def test_natural_param_names_layout():

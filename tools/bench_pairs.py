@@ -1,12 +1,12 @@
 """Alternating parent/change runs of the round-trip benchmark, summarized.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_N.json \\
-        [--workloads reference tall deep] [--seeds 601 602 ...] [--claim tall:peak_rss_mb]
+        [--seeds 601 602 ...] [--claim tall:peak_rss_mb]
 
 Run from the repository root. The parent revision is exported with
 `git archive` into a temporary directory, which is removed at the end;
 the change side is the working tree of this checkout. For each workload
-and seed, both sides run
+that BENCHMARK.json lists and each seed, both sides run
 
     python3 roundtrip_bench/run.py --workload W --seed S --seconds 10 --trace 0
 
@@ -139,18 +139,26 @@ def summarize(seeds, order, runs, metrics):
 
 
 def claim(summary, metric, better):
-    """The gain rule: the change wins at least nine tenths of the pairs
-    and the medians differ by more than the parent's interquartile range."""
+    """The gain rule: the change wins at least nine tenths of the pairs,
+    the medians differ by more than the parent's interquartile range,
+    every change run is correct and no more operations fail than at the
+    parent."""
     parent, change = summary["runs"]["parent"][metric], summary["runs"]["change"][metric]
     p_med, c_med = quantile(parent, 0.5), quantile(change, 0.5)
     iqr = quantile(parent, 0.75) - quantile(parent, 0.25)
     won, pairs = (int(x) for x in summary["change_better_pairs"][metric].split("/"))
     diff = (p_med - c_med) if better == "lower" else (c_med - p_med)
-    met = won * 10 >= pairs * 9 and diff > iqr
+    failed = summary["failed_operations"]
+    correct = summary["all_correct"]["change"]
+    met = (won * 10 >= pairs * 9 and diff > iqr and correct
+           and failed["change"] <= failed["parent"])
     return {"metric": metric, "met": met,
             "result": "median %.4g -> %.4g (%+.1f%%), change better in %d/%d pairs, "
-                      "median difference %.4g against a parent interquartile range of %.4g"
-                      % (p_med, c_med, 100.0 * (c_med / p_med - 1.0), won, pairs, diff, iqr)}
+                      "median difference %.4g against a parent interquartile range of %.4g, "
+                      "failed operations %d -> %d, every change run %s"
+                      % (p_med, c_med, 100.0 * (c_med / p_med - 1.0), won, pairs, diff, iqr,
+                         failed["parent"], failed["change"],
+                         "correct" if correct else "not correct")}
 
 
 def run_once(checkout, workload, seed):
@@ -169,7 +177,12 @@ def export(rev, dest):
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+        # the data filter exists from Python 3.10.12, 3.11.4 and 3.12 on;
+        # without it the archive, made by git from this repository, is
+        # extracted as it is
+        if hasattr(tarfile, "data_filter"):
+            tar.extraction_filter = tarfile.data_filter
+        tar.extractall(dest)
     return Path(dest)
 
 
@@ -177,11 +190,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--out", required=True, help="BENCH file to write")
-    parser.add_argument("--workloads", nargs="+", default=["reference", "tall", "deep"])
     parser.add_argument("--seeds", nargs="+", type=int, default=list(range(601, 611)))
     parser.add_argument("--claim", help="WORKLOAD:METRIC to judge by the gain rule")
     args = parser.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
+    workloads = [w["name"] for w in bench["workloads"]]
     parent_rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                                 capture_output=True, text=True).stdout.strip()
     result = {
@@ -195,7 +209,7 @@ def main(argv=None):
     out_path = Path(args.out)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkouts = {"parent": export(parent_rev, tmp), "change": ROOT}
-        for workload in args.workloads:
+        for workload in workloads:
             runs, order = {"parent": [], "change": []}, []
             for seed in args.seeds:
                 first = "parent" if seed % 2 == 0 else "change"
