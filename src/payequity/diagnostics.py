@@ -5,7 +5,9 @@ effective sample size, computed for many parameters in one array pass:
 their chain halves form one (params, segments, draws) array, one
 batched FFT gives all the autocovariances, and Geyer's stopping rule is
 a mask. A small report layer flags parameters failing a threshold and
-serializes the result for downstream tools.
+serializes the result for downstream tools. Per-parameter trace files
+are written with one process per usable core (see export_traces); no
+option sets the count.
 """
 
 import csv
@@ -246,11 +248,43 @@ def format_diagnostics_text(summary):
     return "\n".join(lines) + "\n"
 
 
+def _usable_cores():
+    """Cores this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _write_trace(path, template, mats, k):
+    """Write the trace file of parameter k, one column at a time."""
+    values = tuple(np.concatenate([mat[:, k] for mat in mats]).tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(template % values)
+
+
+def _reap(pid, read_fd):
+    """Wait for a trace writer; its error message, or None on success."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        message = pipe.read().decode("utf-8", "replace")
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if message:
+        return message
+    if status:
+        return "trace writer process %d ended with status %d" % (pid, status)
+    return None
+
+
 def export_traces(chain_draws, param_names, out_dir):
     """Write one CSV per parameter with columns chain, iteration, value.
 
     File names are derived from parameter names with index brackets and
-    separators replaced so they stay filesystem-safe.
+    separators replaced so they stay filesystem-safe. The parameters are
+    split into one contiguous block per usable core; this process writes
+    the first block and forked children the others, each child ending
+    with os._exit so that it never returns into the caller. A child's
+    failure is raised here as an OSError naming its file. The files and
+    the returned paths (in parameter order) do not depend on the split.
     """
     if len(chain_draws) < 1:
         raise ContractViolation("no chains to export")
@@ -260,18 +294,47 @@ def export_traces(chain_draws, param_names, out_dir):
         raise ContractViolation(
             "got %d names for %d parameters" % (len(param_names), n_params))
     os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, "trace_%s.csv" % name.replace("[", "_")
+                          .replace("]", "").replace("|", "_"))
+             for name in param_names]
     # The bytes csv.writer would give: \r\n line ends, repr floats (no
-    # float repr needs quoting). Row prefixes are shared by all files.
-    prefixes = [["%d,%d," % (ci, it) for it in range(len(mat))]
-                for ci, mat in enumerate(mats)]
-    paths = []
-    for k, name in enumerate(param_names):
-        safe = name.replace("[", "_").replace("]", "").replace("|", "_")
-        path = os.path.join(out_dir, "trace_%s.csv" % safe)
-        rows = ["chain,iteration,value\r\n"]
-        for pre, mat in zip(prefixes, mats):
-            rows += [p + repr(v) + "\r\n" for p, v in zip(pre, mat[:, k].tolist())]
-        with open(path, "w", newline="") as fh:
-            fh.write("".join(rows))
-        paths.append(path)
+    # float repr needs quoting), filled in by %r.
+    template = "chain,iteration,value\r\n" + "".join(
+        "%d,%d,%%r\r\n" % (ci, it) for ci, mat in enumerate(mats) for it in range(len(mat)))
+    n_blocks = max(1, min(_usable_cores(), n_params)) if hasattr(os, "fork") else 1
+    bounds = [n_params * b // n_blocks for b in range(n_blocks + 1)]
+    children = []
+    try:
+        for b in range(1, n_blocks):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                # the child: write its block, report a failure, and leave
+                # without running the caller's cleanup or flushing the
+                # buffers it shares with the parent
+                status, k = 1, bounds[b]
+                try:
+                    os.close(read_fd)
+                    for k in range(bounds[b], bounds[b + 1]):
+                        _write_trace(paths[k], template, mats, k)
+                    status = 0
+                except BaseException as exc:
+                    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+                    os.write(write_fd, ("cannot write %s: %s" % (paths[k], reason)).encode())
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        for k in range(bounds[0], bounds[1]):
+            _write_trace(paths[k], template, mats, k)
+    finally:
+        failures = [_reap(pid, read_fd) for pid, read_fd in children]
+    for failure in failures:
+        if failure:
+            raise OSError(failure)
     return paths

@@ -335,16 +335,18 @@ def adapt_warmup(chain: ChainState, model, n_warmup: int,
 
 
 class PosteriorDraws:
-    """Natural-scale draws per chain plus run metadata.
+    """Natural-scale draws of every chain plus run metadata.
 
-    chains: list of (n_samples, P) arrays; logps: list of (n_samples,)
-    arrays of unnormalized log-posterior values at each draw.
+    draws: one (n_chains * n_samples, P) array, chain after chain, which
+    is the only copy of the draws; chains are row views of it. logps:
+    list of (n_samples,) arrays of unnormalized log-posterior values at
+    each draw.
     """
 
-    def __init__(self, chains, logps, param_names, config, seeds,
+    def __init__(self, draws, logps, param_names, config, seeds,
                  divergences, warmup_divergences, accept_rates,
                  duration_s, G, J, data_digest=None):
-        self.chains = [np.asarray(c, dtype=float) for c in chains]
+        self._draws = np.asarray(draws, dtype=float)
         self.logps = [np.asarray(l, dtype=float) for l in logps]
         self.param_names = list(param_names)
         self.config = config
@@ -356,12 +358,13 @@ class PosteriorDraws:
         self.G = G
         self.J = J
         self.data_digest = data_digest
-        for c, l in zip(self.chains, self.logps):
-            if c.shape != (config.n_samples, len(self.param_names)):
-                raise ContractViolation(
-                    f"chain shape {c.shape} does not match config/layout")
-            if l.shape != (config.n_samples,):
-                raise ContractViolation("logp vector shape mismatch")
+        n = config.n_samples
+        if self._draws.shape != (config.n_chains * n, len(self.param_names)):
+            raise ContractViolation(
+                f"draw matrix shape {self._draws.shape} does not match config/layout")
+        if len(self.logps) != config.n_chains or any(l.shape != (n,) for l in self.logps):
+            raise ContractViolation("logp vector shape mismatch")
+        self.chains = [self._draws[c * n:(c + 1) * n] for c in range(config.n_chains)]
 
     @property
     def n_chains(self) -> int:
@@ -376,14 +379,12 @@ class PosteriorDraws:
         return len(self.param_names)
 
     def pooled(self) -> np.ndarray:
-        return np.vstack(self.chains)
+        """All chains' draws as one (n_chains * n_samples, P) array, not a copy."""
+        return self._draws
 
     def column(self, name: str) -> list[np.ndarray]:
         k = self.param_names.index(name)
         return [c[:, k] for c in self.chains]
-
-    def total_divergences(self) -> int:
-        return int(sum(self.divergences))
 
     # -- persistence -------------------------------------------------------
 
@@ -429,20 +430,15 @@ class PosteriorDraws:
             with open(meta_path) as fh:
                 meta = json.load(fh)
             config = SamplerConfig(**meta["config"])
-            chains, logps = [], []
+            n = config.n_samples
+            draws = np.empty((config.n_chains * n, len(meta["param_names"])))
+            logps = [np.empty(n) for _ in range(config.n_chains)]
             for c in range(config.n_chains):
-                for kind, bucket in (("draws", chains), ("logp", logps)):
+                for kind, target in (("draws", draws[c * n:(c + 1) * n]), ("logp", logps[c])):
                     name = f"{kind}_chain{c:02d}.npy"
-                    path = src / name
-                    if not path.exists():
-                        raise IntegrityError(f"missing draw file {name}")
-                    digest = _sha256_file(path)
-                    if digest != meta["file_digests"].get(name):
-                        raise IntegrityError(
-                            f"{name} digest {digest[:12]}... does not match metadata")
-                    bucket.append(np.load(path))
+                    _read_npy_into(src / name, target, meta["file_digests"].get(name))
             return cls(
-                chains=chains, logps=logps, param_names=meta["param_names"],
+                draws=draws, logps=logps, param_names=meta["param_names"],
                 config=config, seeds=meta["seeds"], divergences=meta["divergences"],
                 warmup_divergences=meta["warmup_divergences"],
                 accept_rates=meta["accept_rates"], duration_s=meta["duration_s"],
@@ -451,6 +447,43 @@ class PosteriorDraws:
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise IntegrityError(
                 f"malformed metadata.json under {src}: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_npy_into(path: Path, out: np.ndarray, digest: str | None) -> None:
+    """Read the .npy file at path into the C-contiguous array out.
+
+    The file is read once: its bytes are hashed as they are read, and a
+    digest other than the recorded one raises IntegrityError, as does a
+    file that does not hold an array of out's shape and dtype.
+    """
+    if not path.exists():
+        raise IntegrityError(f"missing draw file {path.name}")
+    h = hashlib.sha256()
+    filled = False
+    with open(path, "rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                           (2, 0): np.lib.format.read_array_header_2_0}[version]
+            header = read_header(fh)
+        except (ValueError, KeyError):
+            header = None
+        header_end = fh.tell()
+        fh.seek(0)
+        h.update(fh.read(header_end))
+        if header == (out.shape, False, out.dtype):
+            view = memoryview(out).cast("B")
+            filled = fh.readinto(view) == out.nbytes
+            h.update(view)
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    found = h.hexdigest()
+    if found != digest:
+        raise IntegrityError(
+            f"{path.name} digest {found[:12]}... does not match metadata")
+    if not filled:
+        raise IntegrityError(
+            f"{path.name} does not hold a {out.shape} {out.dtype} array as metadata.json says")
 
 
 def _sha256_file(path) -> str:
@@ -480,7 +513,9 @@ def run_chains(wf, spec, config: SamplerConfig,
     names = natural_param_names(wf.index)
     t_start = time.monotonic()
 
-    chains, logps = [], []
+    n = config.n_samples
+    draws = np.empty((config.n_chains * n, len(names)))
+    logps = []
     seeds, divergences, warmup_div, accept_rates = [], [], [], []
     for c in range(config.n_chains):
         seed = config.base_seed ^ c
@@ -520,7 +555,7 @@ def run_chains(wf, spec, config: SamplerConfig,
                 print(f"chain {c}: sampling {i + 1}/{config.n_samples} "
                       f"(accept {state.accept_stats.mean_accept:.2f})",
                       file=sys.stderr)
-        chains.append(model.to_natural_matrix(raw))
+        model.to_natural_matrix(raw, out=draws[c * n:(c + 1) * n])
         logps.append(lp_track)
         divergences.append(state.accept_stats.divergences)
         accept_rates.append(state.accept_stats.mean_accept)
@@ -530,7 +565,7 @@ def run_chains(wf, spec, config: SamplerConfig,
                   file=sys.stderr)
 
     return PosteriorDraws(
-        chains=chains, logps=logps, param_names=names, config=config,
+        draws=draws, logps=logps, param_names=names, config=config,
         seeds=seeds, divergences=divergences, warmup_divergences=warmup_div,
         accept_rates=accept_rates, duration_s=time.monotonic() - t_start,
         G=lay.G, J=lay.J, data_digest=data_digest,

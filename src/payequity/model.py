@@ -437,8 +437,9 @@ class HierarchicalModel:
 
     # -- natural-scale views ----------------------------------------------
 
-    def to_natural_matrix(self, draws: np.ndarray) -> np.ndarray:
-        """Transform a (n_draws, dim) unconstrained matrix to natural scale."""
+    def to_natural_matrix(self, draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Transform a (n_draws, dim) unconstrained matrix to natural scale,
+        into out when given (an array of the same shape)."""
         lay = self.layout
         draws = np.asarray(draws, dtype=float)
         if draws.ndim != 2 or draws.shape[1] != lay.dim:
@@ -446,7 +447,8 @@ class HierarchicalModel:
                 f"draw matrix has shape {draws.shape}, expected (*, {lay.dim})")
         mu = draws[:, lay.hyper_mu]
         scales = np.exp(draws[:, lay.hyper_log_sigma])
-        out = np.empty_like(draws)
+        if out is None:
+            out = np.empty_like(draws)
         for k, block in enumerate(lay.random_effects()):
             out[:, block] = mu[:, k:k + 1] + scales[:, k:k + 1] * draws[:, block]
         out[:, lay.hyper_mu] = mu

@@ -1,4 +1,6 @@
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -113,3 +115,13 @@ def test_parse_run_reads_rss_lines_and_the_last_json_line():
     assert parsed["rss"] == [{"fit": 57.0, "diagnose": 60.0, "report": 329.0, "compare": 57.0},
                              {"fit": 58.0, "diagnose": 61.0, "report": 330.0, "compare": 57.0}]
     assert parsed["json"]["failed"] == 2
+
+
+def test_host_records_usable_cores_next_to_all_cores(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+    assert bench_pairs.host() == "8-core (2 usable) %s, Python %s" % (
+        platform.system(), platform.python_version())
+    # where affinity is unknown, every core counts as usable
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert bench_pairs.host().startswith("8-core (8 usable) ")

@@ -225,7 +225,7 @@ def zero_slope_draws(data_path, out_dir, n=40):
                            leapfrog_steps=4, base_seed=1)
     digest = hashlib.sha256(data_path.read_bytes()).hexdigest()
     draws = PosteriorDraws(
-        chains=[mat, mat.copy()], logps=[np.zeros(n), np.zeros(n)],
+        draws=np.vstack([mat, mat]), logps=[np.zeros(n), np.zeros(n)],
         param_names=names, config=config, seeds=[1, 0],
         divergences=[0, 0], warmup_divergences=[0, 0],
         accept_rates=[1.0, 1.0], duration_s=0.1, G=G, J=J,

@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from payequity.diagnostics import (convergence_report, effective_sample_size,
                                    export_traces, format_diagnostics_text,
                                    split_rhat, write_diagnostics_csv)
 from payequity.errors import ContractViolation
+from payequity.hmc import PosteriorDraws, SamplerConfig
 
 
 def ar1_chain(phi, n, seed, scale=1.0):
@@ -271,12 +276,89 @@ def test_export_traces_roundtrip(tmp_path):
     assert math.copysign(1.0, float(rows[2][2])) == -1.0
     # byte for byte what a csv.writer with repr floats writes
     for k, path in enumerate(paths):
-        oracle = tmp_path / ("oracle_%d.csv" % k)
-        with open(oracle, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["chain", "iteration", "value"])
-            for ci, mat in enumerate(chains):
-                for it in range(mat.shape[0]):
-                    w.writerow([ci, it, repr(float(mat[it, k]))])
-        with open(path, "rb") as a, open(oracle, "rb") as b:
-            assert a.read() == b.read()
+        with open(path, "rb") as fh:
+            assert fh.read() == csv_writer_oracle(chains, k, tmp_path / ("oracle_%d.csv" % k))
+
+
+def csv_writer_oracle(chains, k, path):
+    """The bytes of parameter k's trace as csv.writer writes them."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["chain", "iteration", "value"])
+        for ci, mat in enumerate(chains):
+            for it in range(mat.shape[0]):
+                w.writerow([ci, it, repr(float(mat[it, k]))])
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def use_cores(monkeypatch, n):
+    """Make n cores usable, and return the list that gets the pid of
+    every child export_traces forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("n_params", [2, 7])
+def test_export_traces_same_bytes_on_any_core_count(tmp_path, monkeypatch, cores, n_params):
+    forked = use_cores(monkeypatch, cores)
+    rng = np.random.default_rng(cores * 10 + n_params)
+    chains = [rng.standard_normal((25, n_params)) * 10.0 ** rng.integers(-300, 300, n_params)
+              for _ in range(3)]
+    names = ["p[%d]" % k for k in range(n_params)]
+    paths = export_traces(chains, names, tmp_path / "traces")
+    # one block per usable core, never more blocks than parameters
+    assert len(forked) == min(cores, n_params) - 1
+    assert paths == [os.path.join(tmp_path / "traces", "trace_p_%d.csv" % k)
+                     for k in range(n_params)]
+    for k, path in enumerate(paths):
+        with open(path, "rb") as fh:
+            assert fh.read() == csv_writer_oracle(chains, k, tmp_path / "oracle.csv")
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_export_traces_raises_when_a_file_cannot_be_written(tmp_path, monkeypatch, cores):
+    use_cores(monkeypatch, cores)
+    chains = [np.zeros((10, 4)), np.ones((10, 4))]
+    blocked = tmp_path / "traces" / "trace_d.csv"
+    blocked.mkdir(parents=True)    # a directory where the last file goes
+    with pytest.raises(OSError, match="trace_d.csv"):
+        export_traces(chains, ["a", "b", "c", "d"], tmp_path / "traces")
+
+
+def test_diagnose_traces_failure_in_a_writer_exits_1_once(tmp_path):
+    """A child writer's failure ends diagnose with one error line and no
+    manifest: the child never continued into the CLI."""
+    names = ["a", "b", "c", "d"]
+    config = SamplerConfig(n_chains=2, n_warmup=10, n_samples=20, leapfrog_steps=4)
+    draws = np.random.default_rng(3).standard_normal((40, len(names)))
+    PosteriorDraws(draws=draws, logps=[np.zeros(20)] * 2, param_names=names, config=config,
+                   seeds=[0, 1], divergences=[0, 0], warmup_divergences=[0, 0],
+                   accept_rates=[0.8, 0.8], duration_s=0.1, G=1, J=1).save(tmp_path / "fit")
+    out = tmp_path / "diag"
+    (out / "traces" / "trace_d.csv").mkdir(parents=True)
+    # three usable cores put the last file in the last forked child
+    code = ("import os, runpy; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+            "runpy.run_module('payequity.cli', run_name='__main__')")
+    src = str(Path(diagnostics.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, "diagnose", "--draws", str(tmp_path / "fit"),
+         "--out", str(out), "--traces"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 1
+    lines = (done.stdout + done.stderr).splitlines()
+    assert [l for l in lines if l.startswith("error:")] == [
+        "error: cannot write %s: Is a directory" % (out / "traces" / "trace_d.csv")]
+    assert "Traceback" not in done.stderr
+    assert done.stdout.count("convergence diagnostics") == 1
+    assert not (out / "manifest.json").exists()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -310,6 +311,27 @@ def test_load_detects_corruption(small_run, tmp_path):
     victim.write_bytes(bytes(blob))
     with pytest.raises(IntegrityError):
         PosteriorDraws.load(out)
+
+
+def test_load_rejects_metadata_that_disagrees_with_the_files(small_run, tmp_path):
+    records, index, config, draws = small_run
+    out = tmp_path / "draws"
+    draws.save(out)
+    meta = json.loads((out / "metadata.json").read_text())
+    meta["config"]["n_samples"] = 99        # the files hold 100 draws per chain
+    (out / "metadata.json").write_text(json.dumps(meta))
+    with pytest.raises(IntegrityError, match="draws_chain00.npy does not hold"):
+        PosteriorDraws.load(out)
+
+
+def test_load_gives_one_array_with_chains_as_row_views(small_run, tmp_path):
+    records, index, config, draws = small_run
+    draws.save(tmp_path / "draws")
+    again = PosteriorDraws.load(tmp_path / "draws")
+    pooled = again.pooled()
+    np.testing.assert_array_equal(pooled, np.vstack(draws.chains))
+    assert pooled is again.pooled()
+    assert all(np.shares_memory(c, pooled) for c in again.chains)
 
 
 def test_sampler_config_validation():

@@ -161,6 +161,16 @@ def claim(summary, metric, better):
                          "correct" if correct else "not correct")}
 
 
+def host():
+    """The machine's cores, the cores this process may use, the OS and Python."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:
+        usable = os.cpu_count()
+    return "%d-core (%d usable) %s, Python %s" % (os.cpu_count(), usable, platform.system(),
+                                                  platform.python_version())
+
+
 def run_once(checkout, workload, seed):
     argv = [sys.executable, "roundtrip_bench/run.py", "--workload", workload,
             "--seed", str(seed)] + RUN_ARGS
@@ -200,8 +210,7 @@ def main(argv=None):
                                 capture_output=True, text=True).stdout.strip()
     result = {
         "command": "python3 roundtrip_bench/run.py --workload W --seed S " + " ".join(RUN_ARGS),
-        "host": "%d-core %s, Python %s" % (os.cpu_count(), platform.system(),
-                                           platform.python_version()),
+        "host": host(),
         "parent": parent_rev,
         "seeds": args.seeds,
         "workloads": {},
