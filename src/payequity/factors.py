@@ -59,10 +59,14 @@ class FactorIndex:
         a single GJS-geo; if data violates the nesting, the most common
         GJS-geo among the group's workers wins (ties by lower index).
         """
-        J, G = self.n_job_geo, self.n_gjs_geo
-        counts = np.zeros((J, G), dtype=np.int64)
-        np.add.at(counts, (self.j_of, self.g_of), 1)
-        return counts.argmax(axis=1)
+        G = self.n_gjs_geo
+        pairs, counts = np.unique(self.j_of * G + self.g_of, return_counts=True)
+        j, g = pairs // G, pairs % G
+        # pairs come sorted by (j, g); a stable sort on (j, -count) keeps
+        # the lower g first among tied counts, and each job-geo's first
+        # pair is then its majority
+        order = np.lexsort((-counts, j))
+        return g[order][np.flatnonzero(np.diff(j[order], prepend=-1))]
 
 
 def _first_appearance_codes(keys, n: int) -> tuple[list, np.ndarray]:

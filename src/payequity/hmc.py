@@ -544,18 +544,19 @@ def run_chains(wf, spec, config: SamplerConfig,
         warmup_div.append(state.accept_stats.divergences)
         state.accept_stats = AcceptStats()
 
-        raw = np.empty((config.n_samples, lay.dim))
+        # each chain samples into its own rows of draws, transformed there
+        chain = draws[c * n:(c + 1) * n]
         lp_track = np.empty(config.n_samples)
         tick = max(1, config.n_samples // 10)
         for i in range(config.n_samples):
             hmc_transition(state, model, config.leapfrog_steps)
-            raw[i] = state.position
+            chain[i] = state.position
             lp_track[i] = state.logp
             if progress and (i + 1) % tick == 0:
                 print(f"chain {c}: sampling {i + 1}/{config.n_samples} "
                       f"(accept {state.accept_stats.mean_accept:.2f})",
                       file=sys.stderr)
-        model.to_natural_matrix(raw, out=draws[c * n:(c + 1) * n])
+        model.to_natural_matrix(chain, out=chain)
         logps.append(lp_track)
         divergences.append(state.accept_stats.divergences)
         accept_rates.append(state.accept_stats.mean_accept)

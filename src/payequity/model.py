@@ -204,31 +204,6 @@ def natural_param_names(index: FactorIndex) -> list[str]:
     return names
 
 
-def _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, wf: Workforce, female,
-                      rows):
-    """Linear predictor of log salary for the workers rows of wf.
-
-    rows is a slice of workers; m below is the number it selects.  The
-    effects are either one state's (G,), (J,) and (3,) vectors, giving
-    (m,), or one row per draw, (D, G), (D, J) and (D, 3), giving (D, m).
-    A worker's entries do not depend on which other workers rows
-    selects.  Every worker is predicted at one
-    gender: female if female is true, male otherwise.  The density
-    works from cell statistics instead (see CellStats); the two agree
-    to rounding.  Private, so that the benchmark's traced runs count
-    its time in the report.
-    """
-    g_of, j_of = wf.index.g_of[rows], wf.index.j_of[rows]
-    # Built as (m, D), so that every gather, product and sum runs over
-    # contiguous rows, and returned as its (D, m) transpose.
-    eta = beta0_g.T[g_of] + beta0_j.T[j_of]
-    if female:  # a male prediction has no gender term
-        eta += beta1_g.T[g_of] + beta1_j.T[j_of]
-    for k, covariate in enumerate((wf.recent, wf.past, wf.tenure)):
-        eta += np.multiply.outer(covariate[rows], fixed[..., k])
-    return eta.T
-
-
 @dataclass(frozen=True, eq=False)
 class CellStats:
     """The statistics of a Workforce that the Gaussian likelihood reads.
@@ -439,20 +414,24 @@ class HierarchicalModel:
 
     def to_natural_matrix(self, draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transform a (n_draws, dim) unconstrained matrix to natural scale,
-        into out when given (an array of the same shape)."""
+        into out when given (an array of the same shape, which may be
+        draws itself).  The transform works in place on out, so it makes
+        no temporary of the random effects' size."""
         lay = self.layout
         draws = np.asarray(draws, dtype=float)
         if draws.ndim != 2 or draws.shape[1] != lay.dim:
             raise ContractViolation(
                 f"draw matrix has shape {draws.shape}, expected (*, {lay.dim})")
-        mu = draws[:, lay.hyper_mu]
-        scales = np.exp(draws[:, lay.hyper_log_sigma])
         if out is None:
-            out = np.empty_like(draws)
+            out = draws.copy()
+        elif out is not draws:
+            out[...] = draws
+        mu = out[:, lay.hyper_mu]
+        scales = np.exp(out[:, lay.hyper_log_sigma])
         for k, block in enumerate(lay.random_effects()):
-            out[:, block] = mu[:, k:k + 1] + scales[:, k:k + 1] * draws[:, block]
-        out[:, lay.hyper_mu] = mu
+            effects = out[:, block]
+            effects *= scales[:, k:k + 1]
+            effects += mu[:, k:k + 1]
         out[:, lay.hyper_log_sigma] = scales
-        out[:, lay.fixed] = draws[:, lay.fixed]
-        out[:, lay.log_sigma_resid.start] = np.exp(draws[:, lay.log_sigma_resid.start])
+        out[:, lay.log_sigma_resid] = np.exp(out[:, lay.log_sigma_resid])
         return out

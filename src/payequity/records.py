@@ -10,6 +10,7 @@ in a Workforce, together with the factor index built from them.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -39,6 +40,9 @@ NONPOSITIVE_SALARY = "NONPOSITIVE_SALARY"
 NEGATIVE_TIME_IN_JOB = "NEGATIVE_TIME_IN_JOB"
 
 _FEMALE_VALUES = {"1": True, "true": True, "0": False, "false": False}
+
+# Rows parsed at once by load_csv: bounds the raw rows it holds.
+_CHUNK_ROWS = 1 << 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +155,56 @@ def _validate_row(row: dict[str, str]) -> tuple[tuple | None, str | None]:
             numeric["salary"]), None
 
 
+def _floats(strings) -> np.ndarray:
+    """float() of each string, NaN where float() raises ValueError."""
+    try:
+        return np.fromiter(map(float, strings), dtype=float, count=len(strings))
+    except ValueError:
+        def parse(s):
+            try:
+                return float(s)
+            except ValueError:
+                return math.nan
+        return np.fromiter(map(parse, strings), dtype=float, count=len(strings))
+
+
+def _parse_rows(rows, header, position, first_number, excluded):
+    """Validate csv rows, the first of them data row first_number.
+
+    Returns the clean rows as columns in REQUIRED_COLUMNS order: four
+    lists of labels, then arrays of female, recent_perf, past_perf,
+    time_in_job and salary.  The other rows go to excluded.
+    """
+    width = max(position.values()) + 1
+    # a short row gets empty fields, which fail the missing-field check
+    rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
+    columns = list(zip(*rows))
+    n = len(rows)
+    labels = [[v.strip() for v in columns[position[col]]]
+              for col in ("worker_id", "geo", "gjs", "job")]
+
+    ok = np.ones(n, dtype=bool)
+    for values in labels:
+        if "" in values:
+            ok &= np.fromiter(map(bool, values), dtype=bool, count=n)
+    # float() ignores surrounding whitespace and fails on an empty field
+    numeric = [_floats(columns[position[col]])
+               for col in ("recent_perf", "past_perf", "time_in_job", "salary")]
+    for values in numeric:
+        ok &= np.isfinite(values)
+    female = np.fromiter((_FEMALE_VALUES.get(v.strip().lower(), -1)
+                          for v in columns[position["female"]]), dtype=np.int8, count=n)
+    ok &= (female >= 0) & (numeric[3] > 0.0) & (numeric[2] >= 0.0)
+
+    for k in np.flatnonzero(~ok).tolist():
+        row = dict(zip(header, rows[k]))
+        excluded.add(first_number + k, row["worker_id"].strip(), _validate_row(row)[1])
+    keep = np.flatnonzero(ok)
+    if keep.size < n:
+        labels = [[values[k] for k in keep.tolist()] for values in labels]
+    return [*labels, female[keep] == 1, *(values[keep] for values in numeric)]
+
+
 def load_csv(path: str | Path) -> tuple[Workforce, ExclusionLog]:
     """Load and validate a workforce CSV.
 
@@ -158,24 +212,32 @@ def load_csv(path: str | Path) -> tuple[Workforce, ExclusionLog]:
     returned ExclusionLog with a reason code.  Raises SchemaError when a
     required column is absent and EmptyDatasetError when nothing
     survives validation.  I/O failures propagate as OSError.
+
+    The file is parsed column by column, _CHUNK_ROWS rows at a time, and
+    every check runs on whole columns; only the rows that fail one go
+    through _validate_row, which gives each its first reason in check
+    order.  As with csv.DictReader, blank lines are skipped and not
+    numbered, fields past the header are ignored, and a column name
+    given twice takes its last column.
     """
-    columns: list[list] = [[] for _ in REQUIRED_COLUMNS]
     excluded = ExclusionLog()
+    chunks = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for col in REQUIRED_COLUMNS:
             if col not in header:
                 raise SchemaError(f"missing required column: {col}")
-        for row_number, row in enumerate(reader, start=1):
-            values, reason = _validate_row(row)
-            if values is None:
-                excluded.add(row_number, (row.get("worker_id") or "").strip(), reason)
-            else:
-                for column, value in zip(columns, values):
-                    column.append(value)
+        position = {name: k for k, name in enumerate(header) if name in REQUIRED_COLUMNS}
+        rows = (row for row in reader if row)
+        number = 1
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+            chunks.append(_parse_rows(chunk, header, position, number, excluded))
+            number += len(chunk)
+    columns = [list(itertools.chain.from_iterable(c[k] for c in chunks)) for k in range(4)]
     if not columns[0]:
         raise EmptyDatasetError(f"no valid rows in {path}")
+    columns += [np.concatenate([c[k] for c in chunks]) for k in range(4, 9)]
     return Workforce.from_columns(*columns), excluded
 
 

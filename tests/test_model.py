@@ -5,8 +5,8 @@ import pytest
 import scipy.stats
 
 from payequity.errors import ConfigError, ContractViolation, NumericOverflowError
-from payequity.model import (HierarchicalModel, ModelSpec, _linear_predictor,
-                             build_layout, natural_param_names)
+from payequity.model import (HierarchicalModel, ModelSpec, build_layout,
+                             natural_param_names)
 from payequity.records import Workforce
 from payequity.synthetic import (GroupSizeLaw, PopulationTruth, SynthConfig,
                                  generate_synthetic)
@@ -377,31 +377,6 @@ def test_to_natural_matrix_matches_scalar_path(tiny_model):
         np.testing.assert_allclose(mat[row, :G], hand["beta0_g"])
         np.testing.assert_allclose(mat[row, 2*G:2*G+J], hand["beta0_j"])
         assert mat[row, names.index("sigma_resid")] == pytest.approx(hand["sigma_resid"])
-
-
-def test_predict_log_salary_hand_case():
-    records, index = tiny_fixture(n_records=1)
-    layout = build_layout(index)
-    beta0_g, beta1_g = np.full(layout.G, 10.0), np.full(layout.G, 0.5)
-    beta0_j, beta1_j = np.full(layout.J, 1.0), np.full(layout.J, -0.25)
-    fixed = np.array([0.1, 0.2, 0.3])
-    eta_f = _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, records, 1.0,
-                              slice(None))[0]
-    eta_m = _linear_predictor(beta0_g, beta1_g, beta0_j, beta1_j, fixed, records, 0.0,
-                              slice(None))[0]
-    base = (10.0 + 1.0 + 0.1 * records.recent[0] + 0.2 * records.past[0]
-            + 0.3 * records.tenure[0])
-    assert eta_m == pytest.approx(base, rel=1e-12)
-    assert eta_f == pytest.approx(base + 0.5 - 0.25, rel=1e-12)
-    # one row per draw gives one prediction per draw and worker
-    stacked = _linear_predictor(*(np.stack([x, x]) for x in
-                                  (beta0_g, beta1_g, beta0_j, beta1_j, fixed)),
-                                records, 1.0, slice(None))
-    assert stacked.shape == (2, records.n) and stacked[1, 0] == eta_f
-    # effects too short for the workforce's group indices are rejected
-    with pytest.raises(IndexError):
-        _linear_predictor(beta0_g[:0], beta1_g, beta0_j, beta1_j, fixed, records, 1.0,
-                          slice(None))
 
 
 def test_natural_param_names_layout():

@@ -113,6 +113,119 @@ def test_mean_over_draws_is_mean_of_exponentials():
     assert pred.y_hat_male[1] == pytest.approx(expected, rel=1e-12)
 
 
+def test_predictions_hand_case():
+    # one female worker, the same state in each of two draws
+    records = workforce([make_record(0, female=True, recent_perf=0.4, past_perf=-0.2,
+                                     time_in_job=1.5)])
+    G, J = records.index.n_gjs_geo, records.index.n_job_geo
+    row = natural_row(G, J, beta0_g=[10.0], beta1_g=[0.5], beta0_j=[1.0], beta1_j=[-0.25],
+                      beta2=0.1, beta3=0.2, beta4=0.3)
+    pred = counterfactual_predictions(FakeDraws(G, J, [row, row]), records)
+    base = 10.0 + 1.0 + 0.1 * 0.4 + 0.2 * -0.2 + 0.3 * 1.5
+    assert pred.y_hat_male[0] == pytest.approx(math.exp(base), rel=1e-12)
+    assert pred.y_hat_female[0] == pytest.approx(math.exp(base + 0.5 - 0.25), rel=1e-12)
+    assert pred.mean_log[0] == pytest.approx(base + 0.5 - 0.25, rel=1e-12)
+
+
+def oracle_predictions(matrix, wf):
+    """(y_hat_female, y_hat_male, mean_log): exp of each draw's full linear
+    predictor, averaged over draws, with no factoring."""
+    G, J = wf.index.n_gjs_geo, wf.index.n_job_geo
+    g, j = wf.index.g_of, wf.index.j_of
+    y_f, y_m, mean_log = np.zeros((3, wf.n))
+    for row in np.asarray(matrix, dtype=float):
+        b0g, b1g = row[:G], row[G:2 * G]
+        b0j, b1j = row[2 * G:2 * G + J], row[2 * G + J:2 * G + 2 * J]
+        b2, b3, b4 = row[2 * G + 2 * J + 8:2 * G + 2 * J + 11]
+        eta_m = b0g[g] + b0j[j] + b2 * wf.recent + b3 * wf.past + b4 * wf.tenure
+        eta_f = eta_m + b1g[g] + b1j[j]
+        y_f += np.exp(eta_f)
+        y_m += np.exp(eta_m)
+        mean_log += np.where(wf.female, eta_f, eta_m)
+    return y_f / len(matrix), y_m / len(matrix), mean_log / len(matrix)
+
+
+def assert_matches_oracle(matrix, wf):
+    G, J = wf.index.n_gjs_geo, wf.index.n_job_geo
+    pred = counterfactual_predictions(FakeDraws(G, J, matrix), wf)
+    y_f, y_m, mean_log = oracle_predictions(matrix, wf)
+    assert np.all(np.isfinite(y_f)) and np.all(np.isfinite(y_m))
+    np.testing.assert_allclose(pred.y_hat_female, y_f, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(pred.y_hat_male, y_m, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(pred.mean_log, mean_log, rtol=1e-12, atol=0)
+    return pred
+
+
+def test_predictions_keep_each_workers_own_gjs_geo():
+    # jobA sits under E3 (one worker) and E4 (two): the minority worker
+    # keeps E3's effects, not those of the group's majority GJS-geo
+    rows = [make_record(i, job=job, gjs=gjs, recent_perf=0.1 * i)
+            for i, (job, gjs) in enumerate([("jobA", "E4"), ("jobA", "E3"), ("jobA", "E4"),
+                                            ("jobB", "E3"), ("jobB", "E3")])]
+    wf = workforce(rows)
+    G, J = wf.index.n_gjs_geo, wf.index.n_job_geo
+    assert (G, J) == (2, 2)
+    rng = np.random.default_rng(21)
+    matrix = [natural_row(G, J, beta0_g=[10.0, 11.0] + rng.normal(0, 0.1, G),
+                          beta1_g=[-0.2, 0.3] + rng.normal(0, 0.05, G),
+                          beta0_j=rng.normal(0, 0.2, J), beta1_j=rng.normal(0, 0.05, J),
+                          beta2=rng.normal(0.1, 0.02))
+              for _ in range(7)]
+    pred = assert_matches_oracle(matrix, wf)
+    # the two jobA workers in different GJS-geos differ by about e^1
+    assert pred.y_hat_male[1] / pred.y_hat_male[0] == pytest.approx(math.e, rel=0.5)
+
+
+def test_predictions_single_worker_pairs_and_split_pair(monkeypatch):
+    # job0 and job2 hold one worker each, job1 three; at two workers per
+    # block the boundary falls inside job1, whose workers are interleaved
+    jobs = ["job1", "job0", "job1", "job2", "job1"]
+    wf = workforce([make_record(i, job=job, recent_perf=0.3 * i, time_in_job=0.5 * i)
+                    for i, job in enumerate(jobs)])
+    G, J = wf.index.n_gjs_geo, wf.index.n_job_geo
+    rng = np.random.default_rng(22)
+    matrix = [natural_row(G, J, beta0_g=rng.normal(10.5, 0.1, G),
+                          beta1_g=rng.normal(-0.05, 0.02, G),
+                          beta0_j=rng.normal(0, 0.3, J), beta1_j=rng.normal(0, 0.05, J),
+                          beta2=rng.normal(0.05, 0.01), beta4=rng.normal(0.01, 0.005))
+              for _ in range(5)]
+    monkeypatch.setattr(report, "_BLOCK_VALUES", 2 * len(matrix))
+    assert_matches_oracle(matrix, wf)
+
+
+def test_predictions_at_high_log_salaries():
+    # log salaries near 22.5 (about $6e9)
+    wf, index = interleaved_three_gjs_data()
+    G, J = index.n_gjs_geo, index.n_job_geo
+    rng = np.random.default_rng(23)
+    matrix = [natural_row(G, J, beta0_g=rng.normal(22.0, 0.05, G),
+                          beta1_g=rng.normal(-0.05, 0.02, G),
+                          beta0_j=rng.normal(0.5, 0.05, J), beta1_j=rng.normal(0, 0.02, J),
+                          beta2=0.05, beta3=0.02, beta4=0.01)
+              for _ in range(9)]
+    assert_matches_oracle(matrix, wf)
+
+
+def test_predictions_finite_when_the_pair_factor_alone_overflows():
+    # pair intercepts near 712, covariate terms near -10: each prediction
+    # is about exp(702) and finite, while exp of the intercepts alone is
+    # not, so the two factors need the per-pair offset
+    wf, index = interleaved_three_gjs_data()
+    G, J = index.n_gjs_geo, index.n_job_geo
+    rng = np.random.default_rng(24)
+    matrix = np.array([natural_row(G, J, beta0_g=rng.normal(356.0, 0.05, G),
+                                   beta1_g=rng.normal(-0.05, 0.02, G),
+                                   beta0_j=rng.normal(356.0, 0.05, J),
+                                   beta1_j=rng.normal(0, 0.02, J),
+                                   beta2=rng.normal(-10.0, 0.01), beta3=0.02, beta4=0.01)
+                       for _ in range(4)])
+    wf = Workforce.from_columns(wf.worker_id, wf.geo, wf.gjs, wf.job, wf.female,
+                                np.ones(wf.n), wf.past, wf.tenure, wf.salary)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(matrix[:, :G].min() + matrix[:, 2 * G:2 * G + J].min()))
+    assert_matches_oracle(matrix, wf)
+
+
 def test_dimension_mismatch_rejected():
     records, index = two_group_data()
     draws = FakeDraws(index.n_gjs_geo + 1, index.n_job_geo,
